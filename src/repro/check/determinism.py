@@ -189,14 +189,10 @@ def _faults_small(seed: int) -> str:
 
     from repro.experiments import faults as faults_exp
     from repro.faults import FaultModel, FaultSchedule
-    from repro.flash.driver import OnlineTracePlayer, resolve_engine
+    from repro.flash.driver import OnlineTracePlayer
 
     table = faults_exp.run(n_requests=180, max_failures=3,
                            seed=seed).to_json()
-
-    if resolve_engine("auto", faults=FaultSchedule.none()) != "fast":
-        raise ValueError("an empty fault schedule must keep the "
-                         "fast path eligible")
 
     alloc = faults_exp.make_allocation("design", 9)
     arrivals = [i * 0.3 for i in range(120)]
@@ -212,6 +208,9 @@ def _faults_small(seed: int) -> str:
     _, base = healthy.play(arrivals, buckets)
     empty = OnlineTracePlayer(alloc, interval_ms=0.4,
                               faults=FaultSchedule.none())
+    if empty.engine_selected != "fast":
+        raise ValueError("an empty fault schedule must keep the "
+                         "fast path eligible")
     _, base_empty = empty.play(arrivals, buckets)
     if fingerprint(base) != fingerprint(base_empty):
         raise ValueError("an empty fault schedule changed playback")

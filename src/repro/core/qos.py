@@ -152,7 +152,7 @@ class QoSFlashArray:
     engine:
         Playback engine: ``"auto"`` (closed-form fast path when the
         configuration is eligible, DES otherwise), ``"des"`` or
-        ``"fast"`` -- see :func:`repro.flash.driver.resolve_engine`.
+        ``"fast"`` -- see :func:`repro.flash.driver.select_engine`.
     admission:
         Online admission mode: ``"counting"`` (the paper's
         controllers, default) or ``"exact"`` (per-interval feasibility
@@ -162,8 +162,9 @@ class QoSFlashArray:
         Optional :class:`repro.faults.FaultSchedule` injected into
         every trace run: module crashes, unavailability windows,
         latency degradation and read errors, with failure-aware
-        retrieval and driver failover (see :mod:`repro.faults`).  A
-        non-empty schedule forces the DES engine.
+        retrieval and driver failover (see :mod:`repro.faults`).
+        Faulted runs keep the fast engine: the schedule is replayed
+        event-free, byte-identical to the DES.
     """
 
     def __init__(self, n_devices: int = 9, replication: int = 3,

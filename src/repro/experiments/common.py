@@ -177,12 +177,12 @@ def play_original(parts: Sequence[Trace], n_devices: int,
     The baseline has no admission control, so with ``engine="auto"``
     (or ``"fast"``) the per-device response times come straight from
     the vectorized Lindley recurrence
-    (:func:`repro.flash.fastpath.fcfs_completion_times`) --
+    (:func:`repro.flash.batch.stacked_fcfs_completion_times`) --
     bit-identical to the DES, which ``engine="des"`` still runs.
     """
-    from repro.flash.driver import resolve_engine
+    from repro.flash.driver import select_engine
 
-    if resolve_engine(engine) == "fast":
+    if select_engine(engine)[0] == "fast":
         return _play_original_fast(parts, n_devices)
 
     from repro.flash.array import FlashArray, IORequest
@@ -225,8 +225,8 @@ def _play_original_fast(parts: Sequence[Trace],
     """Vectorized twin of the DES baseline loop above.
 
     Each device is an independent FCFS constant-rate server fed its
-    requests in arrival order, so per-device completion times are one
-    :func:`~repro.flash.fastpath.fcfs_completion_times` call.  Sample
+    requests in arrival order, so all completion times are one
+    :func:`~repro.flash.batch.stacked_fcfs_completion_times` call.  Sample
     lists are filled per part in the DES's stream order (stable sort by
     arrival), which makes the resulting :class:`IntervalSeries`
     indistinguishable from the event-loop run -- same floats, same
@@ -253,7 +253,7 @@ def _play_original_fast(parts: Sequence[Trace],
     device = device[order]
     part_idx = part_idx[order]
     # All devices evaluated as one stacked Lindley computation
-    # (per-stream bit-identical to fcfs_completion_times).
+    # (per-stream bit-identical to the scalar recurrence).
     grouping, offsets = stream_offsets(device, n_devices)
     u = issue[grouping]
     response = np.empty(issue.size, dtype=np.float64)

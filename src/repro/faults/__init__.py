@@ -15,10 +15,10 @@ Wiring (see :doc:`docs/faults.md </../docs/faults>`):
 * the trace players mask dead/down modules out of every candidate set
   (failure-aware retrieval) and fail requests over to surviving
   replicas with retry-and-backoff (:class:`RetryPolicy`);
-* configurations with a non-empty schedule automatically fall back
-  from the closed-form fast path to the DES
-  (:func:`repro.flash.driver.resolve_engine`), mirroring the FTL and
-  priority-queue fallbacks, so the healthy fast path is untouched;
+* faulted configurations keep the closed-form fast path: the
+  materialised schedule is replayed event-free by
+  :class:`repro.flash.faulted.FaultedReplay`, byte-identical to the
+  DES (:func:`repro.flash.driver.select_engine`);
 * ``repro.obs`` gains ``faults.*`` counters and degraded-mode
   violation accounting in the ledger.
 """

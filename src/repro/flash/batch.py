@@ -1,26 +1,35 @@
-"""Stacked sweep evaluation: many FCFS streams in one numpy pass.
+"""Stacked FCFS evaluation: many constant-rate queues in one numpy pass.
 
-The fast path (:mod:`repro.flash.fastpath`) evaluates *one* module's
-queue per call; sweeps evaluate hundreds -- trials x intervals x
-modules -- and the per-stream Python loop around those calls is what
-the profiles show.  This module stacks the streams: all of a sweep's
-independent FCFS queues are concatenated into one ragged array
-(`issue`, `offsets` in CSR style) and the Lindley recurrence runs over
-the whole stack at once -- one busy-period location pass, one
-verification pass, one accumulate loop over busy periods instead of
-one full kernel invocation per stream.
+On the paper's default array every module is a deterministic
+constant-rate FCFS server, so a queue's completion times are the
+Lindley recurrence
+
+.. math::
+
+    c_i = \\max(u_i, c_{i-1}) + s_i
+
+with ``u_i`` the issue times and ``s_i`` the service times.  Sweeps
+evaluate hundreds of such queues -- trials x intervals x modules -- so
+this module stacks them: all independent FCFS queues are concatenated
+into one ragged array (`issue`, `offsets` in CSR style) and the
+recurrence runs over the whole stack at once -- one busy-period
+location pass, one verification pass, one accumulate loop over busy
+periods.  A single queue is the one-stream case (``offsets = [0,
+n]``).
 
 Exactness contract
 ------------------
-Per-stream results are **bit-identical** to
-:func:`repro.flash.fastpath.fcfs_completion_times` (and therefore to
-the DES): busy periods are replayed with ``np.add.accumulate`` --
-strict left-to-right addition, the event loop's exact operation
-sequence -- and the located busy-period boundaries are verified
-against the exact completions, falling back to the per-stream
-sequential recurrence wherever a boundary moved.  The locator may be
-sloppy (it shifts streams by large constants to run one global
-cumulative maximum); the verifier is not.
+Results are **bit-identical** to the scalar recurrence (and therefore
+to the DES).  The textbook vectorization ``c_i = S_i + max_{j<=i}(u_j
+- S_{j-1})`` (``S`` the running service sum) re-associates the
+floating-point additions, so it is used only to *locate* busy
+periods; each busy period is then replayed with ``np.add.accumulate``
+-- strict left-to-right addition, the event loop's exact operation
+sequence -- and the located boundaries are verified against the exact
+completions, falling back to the per-stream sequential recurrence
+wherever a boundary moved.  The locator may be sloppy (it shifts
+streams by large constants to run one global cumulative maximum); the
+verifier is not.
 
 Per-item service times are supported (mixed read/write queues): within
 a busy period the recurrence is still plain repeated addition
@@ -38,8 +47,6 @@ from __future__ import annotations
 from typing import Sequence, Tuple
 
 import numpy as np
-
-from repro.flash.fastpath import _sequential_completions
 
 __all__ = [
     "stacked_fcfs_completion_times",
@@ -161,11 +168,12 @@ def stacked_fcfs_completion_times(issue_ms, offsets,
     Returns
     -------
     numpy.ndarray
-        Stacked completions, each stream bit-identical to
-        :func:`repro.flash.fastpath.fcfs_completion_times` on that
-        stream alone.
+        Stacked completions, each stream bit-identical to the scalar
+        recurrence (:func:`_sequential_var`) on that stream alone.
     """
     u = np.ascontiguousarray(issue_ms, dtype=np.float64)
+    if u.ndim != 1:
+        raise ValueError("issue times must be one-dimensional")
     offs = np.ascontiguousarray(offsets, dtype=np.intp)
     n = u.size
     if offs.size < 2 or offs[0] != 0 or offs[-1] != n or \
@@ -194,12 +202,7 @@ def stacked_fcfs_completion_times(issue_ms, offsets,
     if bad.size:
         for s in np.unique(np.searchsorted(offs, bad, side="right") - 1):
             a, b = offs[s], offs[s + 1]
-            seg_svc = svc[a:b]
-            if seg_svc.size and np.all(seg_svc == seg_svc[0]):
-                out[a:b] = _sequential_completions(
-                    u[a:b], float(seg_svc[0]))
-            else:
-                out[a:b] = _sequential_var(u[a:b], seg_svc)
+            out[a:b] = _sequential_var(u[a:b], svc[a:b])
     return out
 
 

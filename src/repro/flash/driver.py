@@ -14,17 +14,17 @@ Two drivers mirror the paper's two retrieval modes:
   interval* (budget overflow).
 
 Both drivers support two interchangeable playback engines (see
-:func:`resolve_engine`): the DES, which executes the actual service
+:func:`select_engine`): the DES, which executes the actual service
 through the simulated flash array, and a closed-form *fast* engine.
-The online driver keeps a busy-until mirror to make placement
-decisions; with deterministic service times the mirror is exact, so on
+Both players keep a busy-until mirror to make placement decisions;
+with deterministic service times the mirror is exact, so on
 homogeneous constant-latency configurations the fast engine reads the
-completion times straight off the mirror (and the batch player off the
-Lindley recurrence, :mod:`repro.flash.fastpath`) instead of stepping
-the event loop.  The engines are bit-for-bit identical where both
-apply -- enforced by property tests and the determinism probes -- and
-``"auto"`` falls back to the DES whenever an FTL or a custom module
-type makes service times state-dependent.
+completion times straight off the mirror (the Lindley recurrence, see
+:func:`supports_fast_playback`) instead of stepping the event loop.
+The engines are bit-for-bit identical where both apply -- enforced by
+property tests and the determinism probes -- and ``"auto"`` falls back
+to the DES whenever an FTL or a custom module type makes service times
+state-dependent.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from repro.core.admission import (
 )
 from repro.flash import admitpath
 from repro.flash.array import FlashArray, IORequest
-from repro.flash.fastpath import supports_fast_playback
 from repro.flash.metrics import IntervalSeries
 from repro.flash.params import FlashParams
 from repro.retrieval.design_theoretic import design_theoretic_retrieval
@@ -53,7 +52,7 @@ from repro.sim import Environment
 
 __all__ = ["BatchTracePlayer", "OnlineTracePlayer",
            "OnlineStreamSession", "PlayedRequest",
-           "resolve_engine", "select_engine", "engine_tally",
+           "select_engine", "supports_fast_playback", "engine_tally",
            "reset_engine_tally"]
 
 
@@ -105,25 +104,48 @@ def _tally_admission(kind: str, reason: str) -> None:
         _ENGINE_TALLY[key] = _ENGINE_TALLY.get(key, 0) + 1
 
 
+def supports_fast_playback(module_factory=None, ftl_factory=None,
+                           priority_queues: bool = False) -> bool:
+    """True when playback is computable in closed form.
+
+    The paper's default array is the degenerate queueing regime: every
+    module is a deterministic constant-rate FCFS server, so a request's
+    completion is the Lindley recurrence ``c_i = max(u_i, c_{i-1}) +
+    s`` -- which the busy-until mirror (and, for bulk queues,
+    :func:`repro.flash.batch.stacked_fcfs_completion_times`) evaluates
+    exactly, without stepping the event loop.  Any hook that makes
+    per-request service time depend on *hidden simulation state* -- a
+    custom module type (``module_factory``: HDD seek/rotation,
+    channel-bus geometry), an FTL whose garbage collection stalls the
+    module, or priority scheduling -- disqualifies the closed form;
+    the drivers then run the DES.
+
+    Fault schedules (crashes, down windows, latency degradation, read
+    errors) do **not**: a schedule is fully materialised before
+    playback, so faulted service is a pure function of the submission
+    order and the schedule, replayed event-free by
+    :class:`repro.flash.faulted.FaultedReplay`.
+    """
+    return (module_factory is None and ftl_factory is None
+            and not priority_queues)
+
+
 def select_engine(engine: str, module_factory=None, ftl_factory=None,
-                  priority_queues: bool = False,
-                  faults=None) -> Tuple[str, str]:
+                  priority_queues: bool = False) -> Tuple[str, str]:
     """Pick the playback engine; returns ``(engine, fallback_reason)``.
 
     ``"auto"`` (the default everywhere) selects the closed-form fast
     path whenever the configuration is eligible (see
-    :func:`repro.flash.fastpath.supports_fast_playback`) and the DES
-    otherwise; ``"fast"`` insists and raises on ineligible
-    configurations; ``"des"`` always steps the event loop.  Both
-    engines produce bit-identical results on eligible configurations --
-    enforced by the property tests and the ``fastpath``/``faults``
-    determinism probes.
+    :func:`supports_fast_playback`) and the DES otherwise; ``"fast"``
+    insists and raises on ineligible configurations; ``"des"`` always
+    steps the event loop.  Both engines produce bit-identical results
+    on eligible configurations -- enforced by the property tests and
+    the ``fastpath``/``faults`` determinism probes.
 
     Fault schedules (:mod:`repro.faults`) -- empty *or* non-empty --
-    keep the fast engine: playback is replayed event-free by
-    :class:`repro.flash.faulted.FaultedReplay`, byte-identical to the
-    DES.  Only state-dependent service hooks still fall back, and the
-    returned ``fallback_reason`` names which one (``"module_factory"``,
+    keep the fast engine, so they take no part in the choice.  Only
+    state-dependent service hooks fall back, and the returned
+    ``fallback_reason`` names which one (``"module_factory"``,
     ``"ftl_factory"``, ``"priority_queues"``, or ``"forced"`` when the
     caller demanded ``"des"``; empty string when the fast path runs).
     """
@@ -133,8 +155,7 @@ def select_engine(engine: str, module_factory=None, ftl_factory=None,
         return "des", "forced"
     eligible = supports_fast_playback(module_factory=module_factory,
                                       ftl_factory=ftl_factory,
-                                      priority_queues=priority_queues,
-                                      faults=faults)
+                                      priority_queues=priority_queues)
     if eligible:
         return "fast", ""
     if engine == "fast":
@@ -147,13 +168,6 @@ def select_engine(engine: str, module_factory=None, ftl_factory=None,
     if ftl_factory is not None:
         return "des", "ftl_factory"
     return "des", "priority_queues"
-
-
-def resolve_engine(engine: str, module_factory=None,
-                   ftl_factory=None, faults=None) -> str:
-    """:func:`select_engine` without the reason (compatibility API)."""
-    return select_engine(engine, module_factory=module_factory,
-                         ftl_factory=ftl_factory, faults=faults)[0]
 
 
 def _collect_series(played: Sequence["PlayedRequest"]) -> IntervalSeries:
@@ -254,7 +268,7 @@ class BatchTracePlayer:
         ``M(b)``, the Table II semantics).
     engine:
         ``"auto"`` (closed-form fast path when eligible, else DES),
-        ``"des"`` or ``"fast"`` -- see :func:`resolve_engine`.
+        ``"des"`` or ``"fast"`` -- see :func:`select_engine`.
     faults:
         Optional :class:`repro.faults.FaultSchedule`.  Dead and down
         modules are masked out of every batch's candidate sets at the
@@ -280,7 +294,7 @@ class BatchTracePlayer:
         self.module_factory = module_factory
         self.faults = faults
         self.engine, self.fallback_reason = select_engine(
-            engine, module_factory=module_factory, faults=faults)
+            engine, module_factory=module_factory)
 
     @property
     def engine_selected(self) -> str:
@@ -336,96 +350,85 @@ class BatchTracePlayer:
             raise ValueError("BatchTracePlayer is read-only; use "
                              "OnlineTracePlayer for writes")
         _tally_engine(self.engine, self.fallback_reason)
-        if self.engine == "fast":
-            return self._play_fast(arrivals, buckets)
-        env = Environment()
-        array = FlashArray(env, self.allocation.n_devices, self.params,
-                           module_factory=self.module_factory,
-                           faults=self.faults)
-        groups = _group_by_interval(arrivals, self.interval_ms)
         played: List[PlayedRequest] = []
-        service = array.params.read_ms
-        busy_until = [0.0] * self.allocation.n_devices
+        if self.engine == "fast":
+            # The busy-until recurrence IS the module behaviour when
+            # service times are constant, so the DES adds nothing --
+            # same scheduling decisions, same floats.  Under a fault
+            # schedule the loop is unchanged (the mirror is
+            # fault-independent by construction) and service runs
+            # through :class:`repro.flash.faulted.FaultedReplay`.
+            params = self.params or FlashParams()
+            service = params.read_ms
+            replay = None
+            if self.faults is not None and len(self.faults):
+                from repro.flash.faulted import FaultedReplay
 
-        def run():
-            for idx in sorted(groups):
-                member = groups[idx]
-                start = idx * self.interval_ms
-                # Alignment: mid-interval arrivals wait for the next
-                # boundary.  Boundary-aligned arrivals go at their own.
-                batch_time = start
-                if any(arrivals[i] > start + 1e-9 for i in member):
-                    batch_time = (idx + 1) * self.interval_ms
-                if batch_time > env.now:
-                    yield env.timeout_until(batch_time)
-                # Failure-aware retrieval: dead/down modules leave the
-                # candidate sets at the batch instant.
-                masked = self.faults.masked_at(batch_time) \
-                    if self.faults is not None else None
-                live_member: List[int] = []
-                cands = []
-                for i in member:
-                    cs = self.allocation.devices_for(int(buckets[i]))
-                    if masked:
-                        live = tuple(d for d in cs if d not in masked)
-                        if not live:
-                            io = _unavailable_io(float(arrivals[i]),
-                                                 int(buckets[i]),
-                                                 batch_time)
-                            played.append(PlayedRequest(
-                                io=io, interval=idx, index=i,
-                                delayed=False))
-                            continue
-                        cs = live
-                    live_member.append(i)
-                    cands.append(cs)
-                if not live_member:
-                    continue
-                carry = [max(0.0, b - batch_time) / service
-                         for b in busy_until]
-                schedule = self._schedule(cands, carry)
-                for i, dev in zip(live_member, schedule.assignment):
-                    io = IORequest(arrival=float(arrivals[i]),
-                                   bucket=int(buckets[i]))
-                    array.issue(io, dev)
-                    busy_until[dev] = max(busy_until[dev],
-                                          batch_time) + service
-                    played.append(PlayedRequest(
-                        io=io, interval=idx, index=i,
-                        delayed=io.issued_at > io.arrival + 1e-9))
+                replay = FaultedReplay(self.faults,
+                                       self.allocation.n_devices, params)
 
-        env.process(run())
-        env.run()
+            def issue(io, dev, batch_time, busy):
+                if replay is not None:
+                    # Batch issues have no failover (as in the DES
+                    # batch driver): candidates stay None.
+                    replay.submit_read(io, dev, batch_time, batch_time)
+                    return
+                io.device = dev
+                io.issued_at = batch_time
+                io.enqueued_at = batch_time
+                io.started_at = max(busy, batch_time)
+                io.completed_at = io.started_at + service
+
+            for _ in self._batches(arrivals, buckets, service, issue,
+                                   played):
+                pass
+            if replay is not None:
+                replay.run()
+        else:
+            env = Environment()
+            array = FlashArray(env, self.allocation.n_devices,
+                               self.params,
+                               module_factory=self.module_factory,
+                               faults=self.faults)
+            batches = self._batches(
+                arrivals, buckets, array.params.read_ms,
+                lambda io, dev, batch_time, busy: array.issue(io, dev),
+                played)
+
+            def run():
+                for batch_time in batches:
+                    if batch_time > env.now:
+                        yield env.timeout_until(batch_time)
+
+            env.process(run())
+            env.run()
         return _finish_play(played, self.allocation.n_devices,
                             self.interval_ms)
 
-    def _play_fast(self, arrivals: Sequence[float],
-                   buckets: Sequence[int],
-                   ) -> Tuple[IntervalSeries, List[PlayedRequest]]:
-        """Closed-form batch playback: the busy-until recurrence IS the
-        module behaviour when service times are constant, so the DES
-        adds nothing -- same scheduling decisions, same floats.  Under
-        a fault schedule the scheduling loop is unchanged (the mirror
-        is fault-independent by construction) and service runs through
-        :class:`repro.flash.faulted.FaultedReplay` instead of the
-        mirror arithmetic."""
-        params = self.params or FlashParams()
-        replay = None
-        if self.faults is not None and len(self.faults):
-            from repro.flash.faulted import FaultedReplay
+    def _batches(self, arrivals, buckets, service: float, issue,
+                 played: List[PlayedRequest]):
+        """The interval-batch loop both engines share.
 
-            replay = FaultedReplay(self.faults,
-                                   self.allocation.n_devices, params)
+        A generator: it yields each batch instant *before* issuing
+        the batch, so the DES can advance its clock there, then
+        masks, schedules and hands every placed request to
+        ``issue(io, dev, batch_time, busy)`` (``busy`` = the device's
+        busy-until before this request) -- the only step in which
+        the engines differ.
+        """
         groups = _group_by_interval(arrivals, self.interval_ms)
-        played: List[PlayedRequest] = []
-        service = params.read_ms
         busy_until = [0.0] * self.allocation.n_devices
         for idx in sorted(groups):
             member = groups[idx]
             start = idx * self.interval_ms
+            # Alignment: mid-interval arrivals wait for the next
+            # boundary.  Boundary-aligned arrivals go at their own.
             batch_time = start
             if any(arrivals[i] > start + 1e-9 for i in member):
                 batch_time = (idx + 1) * self.interval_ms
+            yield batch_time
+            # Failure-aware retrieval: dead/down modules leave the
+            # candidate sets at the batch instant.
             masked = self.faults.masked_at(batch_time) \
                 if self.faults is not None else None
             live_member: List[int] = []
@@ -453,26 +456,12 @@ class BatchTracePlayer:
             for i, dev in zip(live_member, schedule.assignment):
                 io = IORequest(arrival=float(arrivals[i]),
                                bucket=int(buckets[i]))
-                if replay is not None:
-                    # Batch issues have no failover (as in the DES
-                    # batch driver): candidates stay None.
-                    replay.submit_read(io, dev, batch_time, batch_time)
-                    busy_until[dev] = max(busy_until[dev],
-                                          batch_time) + service
-                else:
-                    io.device = dev
-                    io.issued_at = batch_time
-                    io.enqueued_at = batch_time
-                    io.started_at = max(busy_until[dev], batch_time)
-                    busy_until[dev] = io.started_at + service
-                    io.completed_at = busy_until[dev]
+                issue(io, dev, batch_time, busy_until[dev])
+                busy_until[dev] = max(busy_until[dev],
+                                      batch_time) + service
                 played.append(PlayedRequest(
                     io=io, interval=idx, index=i,
                     delayed=batch_time > io.arrival + 1e-9))
-        if replay is not None:
-            replay.run()
-        return _finish_play(played, self.allocation.n_devices,
-                            self.interval_ms)
 
 
 class OnlineTracePlayer:
@@ -565,7 +554,7 @@ class OnlineTracePlayer:
         self.faults = faults
         self.engine, self.fallback_reason = select_engine(
             engine, module_factory=module_factory,
-            ftl_factory=ftl_factory, faults=faults)
+            ftl_factory=ftl_factory)
         self._replay = None
 
     @property
@@ -968,10 +957,9 @@ class OnlineStreamSession:
         #: ``admission_fallback_reason`` report the resolution the
         #: same way ``engine_selected`` / ``fallback_reason`` do.
         self._vec = None
-        self._cand_cache: Dict[int, Tuple[int, ...]] = {}
-        #: per fault-mask segment: bucket -> (first live replica or
-        #: -1, live candidate tuple); see _bulk_span
-        self._bulk_cache: Dict[int, Dict[int, Tuple[int, tuple]]] = {}
+        #: (fault-mask segment, bucket) -> live candidate tuple
+        #: (empty when every replica is masked); see _run_plan
+        self._live_cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         self.admission_kernel = "scalar"
         self.admission_fallback_reason = "des_engine"
         if self.fast:
@@ -1100,6 +1088,16 @@ class OnlineStreamSession:
                 self.played.append(PlayedRequest(
                     io=io, interval=idx, index=orig,
                     delayed=False, rejected=True))
+            elif player.admission == "exact" and \
+                    not self.admission.candidates_for(self.buckets[orig]):
+                # Every replica is dead from the start, so no later
+                # interval can admit it either: delaying would requeue
+                # it forever.  It fails as unavailable instead.
+                self.played.append(PlayedRequest(
+                    io=_unavailable_io(float(self.arrivals[orig]),
+                                       int(self.buckets[orig]), t,
+                                       is_read=self.is_read[orig]),
+                    interval=idx, index=orig, delayed=False))
             else:
                 # Budget overflow: delay to the next interval.
                 if obs.ACTIVE:
@@ -1192,16 +1190,17 @@ class OnlineStreamSession:
     def _run_plan(self, plan) -> None:
         """Dispatch one :class:`~repro.flash.admitpath.AdmissionPlan`.
 
-        Placement is the scalar loop inlined.  Maximal runs of
-        *simple* entries -- singleton batches the kernel admitted --
-        go through :meth:`_bulk_span`, a jammed loop that skips the
-        per-request candidate filtering, ``masked_at`` bisection and
-        conflict arithmetic whenever the first live replica is idle
-        (provably the scalar outcome; see the method).  Everything
-        else -- rejected entries, simultaneous batches -- walks
-        :meth:`_scalar_span`, the reference loop verbatim.
-        ``offer_conflict`` cannot arise here (vector mode requires
-        ε = 0, where conflicts always hold the request).
+        One walk over the plan, batch by batch, through the scalar
+        loop's placement code: rejected entries are appended first,
+        multi-request batches go through the shared
+        :meth:`OnlineTracePlayer._dispatch` (combined retrieval), and
+        singleton batches through its ``_pick``/``_issue_one`` step.
+        Singletons skip ``_dispatch``'s per-request masking: the fault
+        mask of every entry resolves with one ``searchsorted`` over the
+        plan's time column, and each bucket's live candidates are
+        memoized per mask.  ``offer_conflict`` cannot arise here
+        (vector mode requires ε = 0, where conflicts always hold the
+        request).
         """
         if obs.ACTIVE:
             session = obs.SESSION
@@ -1211,47 +1210,9 @@ class OnlineStreamSession:
                 session.on_admission("delayed", plan.n_delayed)
             if plan.n_rejected:
                 session.on_admission("rejected", plan.n_rejected)
-        order = plan.order.tolist()
-        times = plan.times.tolist()
-        intervals = plan.intervals.tolist()
-        admitted = plan.admitted.tolist()
-        starts = plan.starts.tolist()
-        n = len(order)
+        n = len(plan)
         if n == 0:
             return
-        # Maximal runs of admitted singleton batches (starts[i] and
-        # the next entry, if any, starts a new batch too).
-        simple = plan.starts & plan.admitted
-        if n > 1:
-            simple[:-1] &= plan.starts[1:]
-        flat = np.flatnonzero(np.diff(simple.view(np.int8)))
-        edges = (flat + 1).tolist()
-        if bool(simple[0]):
-            edges.insert(0, 0)
-        if bool(simple[-1]):
-            edges.append(n)
-        cols = (order, times, intervals, admitted, starts)
-        pos = 0
-        for a, b in zip(edges[::2], edges[1::2]):
-            if b - a < 8:
-                continue  # not worth the span set-up; scalar absorbs it
-            if pos < a:
-                self._scalar_span(pos, a, *cols)
-            self._bulk_span(plan, a, b, order, times, intervals)
-            pos = b
-        if pos < n:
-            self._scalar_span(pos, n, *cols)
-
-    def _scalar_span(self, i: int, hi: int, order, times, intervals,
-                     admitted, starts) -> None:
-        """Reference dispatch of plan entries ``[i, hi)`` (both batch
-        boundaries): per simultaneous batch, rejected entries are
-        appended first, multi-request batches go through the shared
-        :meth:`OnlineTracePlayer._dispatch` (combined retrieval), and
-        singleton batches run the ``_pick``/conflict/issue arithmetic
-        directly -- the same floats through the same operations, minus
-        the heap and the per-request admission bookkeeping the kernel
-        already did."""
         player = self.player
         arrivals = self.arrivals
         bucket_col = self.buckets
@@ -1259,220 +1220,53 @@ class OnlineStreamSession:
         service = self.service
         played = self.played
         faults = player.faults
-        replay = player._replay
-        cand_cache = self._cand_cache
         devices_for = player.allocation.devices_for
-        guarantee = player.accesses * service
-        n = hi
-        while i < n:
-            j = i + 1
-            while j < n and not starts[j]:
-                j += 1
-            t = times[i]
-            idx = intervals[i]
-            b = i
-            while b < j and not admitted[b]:
-                orig = order[b]
-                io = IORequest(arrival=arrivals[orig],
-                               bucket=bucket_col[orig])
-                played.append(PlayedRequest(
-                    io=io, interval=idx, index=orig,
-                    delayed=False, rejected=True))
-                b += 1
-            if j - b > 1:
-                player._dispatch(order[b:j], t, idx, arrivals,
-                                 bucket_col, busy, service, None,
-                                 played, self.admission)
-                i = j
-                continue
-            if j == b:
-                i = j
-                continue
-            orig = order[b]
-            i = j
-            bucket = bucket_col[orig]
-            cs = cand_cache.get(bucket)
-            if cs is None:
-                cs = devices_for(bucket)
-                cand_cache[bucket] = cs
-            if faults is not None:
-                masked = faults.masked_at(t)
-                if masked:
-                    live = tuple(d for d in cs if d not in masked)
-                    if not live:
-                        io = _unavailable_io(arrivals[orig], bucket, t)
-                        played.append(PlayedRequest(
-                            io=io, interval=idx, index=orig,
-                            delayed=False))
-                        continue
-                    cs = live
-            dev = -1
-            for d in cs:
-                if busy[d] <= t + 1e-12:
-                    dev = d
-                    break
-            if dev < 0:
-                dev = cs[0]
-                low = busy[dev]
-                for d in cs[1:]:
-                    if busy[d] < low:
-                        low = busy[d]
-                        dev = d
-            io = IORequest(arrival=arrivals[orig], bucket=bucket)
-            if busy[dev] - t + service > guarantee + 1e-12:
-                issue_at = busy[dev]
-                delayed = True
-            else:
-                issue_at = t
-                delayed = io.arrival + 1e-9 < t
-            started = busy[dev] if busy[dev] > issue_at else issue_at
-            busy[dev] = started + service
-            if replay is not None:
-                replay.submit_read(io, dev, issue_at, t,
-                                   candidates=cs)
-            else:
-                io.device = dev
-                io.issued_at = issue_at
-                io.enqueued_at = issue_at
-                io.started_at = started
-                io.completed_at = busy[dev]
-            played.append(PlayedRequest(io=io, interval=idx,
-                                        index=orig, delayed=delayed))
-
-    def _bulk_span(self, plan, a: int, b: int, order, times,
-                   intervals) -> None:
-        """Jammed dispatch of plan entries ``[a, b)``, all admitted
-        singleton batches.
-
-        The span is cut at fault-mask change points (one
-        ``searchsorted`` over the whole time column replaces a
-        ``masked_at`` bisection per request); within a segment the
-        masked set is constant, so each bucket's live candidates and
-        first choice resolve through a per-mask memo.  When the first
-        live replica ``dev`` is idle (``busy[dev] <= t``) the scalar
-        loop provably picks it (``_pick`` returns the first candidate
-        within tolerance), starts at ``t`` (``max(busy, t) == t``) and
-        sees no conflict (``busy - t + service <= service <=
-        accesses * service``), so the emit collapses to one addition
-        -- the same addition, on the same floats.  Any other case
-        (queued device, all replicas masked, ``accesses == 0``) runs
-        the reference arithmetic inline, so the span never needs a
-        fallback walk.
-        """
-        from repro.flash.faulted import _Submission
-
-        player = self.player
-        arrivals = self.arrivals
-        bucket_col = self.buckets
-        busy = self.busy_until
-        service = self.service
-        played_append = self.played.append
-        faults = player.faults
-        replay = player._replay
-        cand_cache = self._cand_cache
-        bulk_cache = self._bulk_cache
-        devices_for = player.allocation.devices_for
-        guarantee = player.accesses * service
-        # busy <= t alone rules out a conflict only while one service
-        # fits the guarantee; otherwise every entry takes the slow arm.
-        fastable = service <= guarantee + 1e-12
+        live_cache = self._live_cache
+        order = plan.order.tolist()
+        times = plan.times.tolist()
+        intervals = plan.intervals.tolist()
+        admitted = plan.admitted.tolist()
+        bounds = np.flatnonzero(plan.starts).tolist()
+        bounds.append(n)
         if faults is not None:
             pts, masks = faults.mask_segments()
-            mk = np.searchsorted(np.asarray(pts, dtype=np.float64),
-                                 plan.times[a:b], side="right")
-            cuts = (np.flatnonzero(mk[:-1] != mk[1:]) + 1).tolist()
-            bounds = [0, *cuts, b - a]
+            mask_idx = np.searchsorted(np.asarray(pts, dtype=np.float64),
+                                       plan.times, side="right").tolist()
         else:
-            mk, masks = None, (frozenset(),)
-            bounds = [0, b - a]
-        if replay is not None:
-            heap_append = replay._heap.append
-            seq = replay._seq
-        for s0, s1 in zip(bounds[:-1], bounds[1:]):
-            ki = int(mk[s0]) if mk is not None else 0
-            mask = masks[ki]
-            per = bulk_cache.get(ki)
-            if per is None:
-                per = bulk_cache[ki] = {}
-            per_get = per.get
-            lo, hi = a + s0, a + s1
-            for orig, t, itv in zip(order[lo:hi], times[lo:hi],
-                                    intervals[lo:hi]):
-                bkt = bucket_col[orig]
-                ent = per_get(bkt)
-                if ent is None:
-                    cs = cand_cache.get(bkt)
-                    if cs is None:
-                        cs = devices_for(bkt)
-                        cand_cache[bkt] = cs
-                    if mask:
-                        cs = tuple(d for d in cs if d not in mask)
-                    ent = per[bkt] = (cs[0] if cs else -1, cs)
-                dev, live = ent
-                arr = arrivals[orig]
-                if fastable and dev >= 0 and busy[dev] <= t:
-                    # Idle first replica: issue = start = t.
-                    comp = t + service
-                    busy[dev] = comp
-                    io = IORequest(arr, bkt)
-                    if replay is not None:
-                        sub = _Submission(io, dev, t, t, seq,
-                                          candidates=live,
-                                          first_issue=t)
-                        heap_append((t, t, seq, sub))
-                        seq += 1
-                    else:
-                        io.device = dev
-                        io.issued_at = t
-                        io.enqueued_at = t
-                        io.started_at = t
-                        io.completed_at = comp
-                    played_append(PlayedRequest(io, itv,
-                                                arr + 1e-9 < t, orig))
-                    continue
-                if dev < 0:  # every replica masked: unavailable
-                    io = _unavailable_io(arr, bkt, t)
-                    played_append(PlayedRequest(io, itv,
-                                                False, orig))
-                    continue
-                # Queued device: the reference arithmetic, inline.
-                dev = -1
-                for d in live:
-                    if busy[d] <= t + 1e-12:
-                        dev = d
-                        break
-                if dev < 0:
-                    dev = live[0]
-                    low = busy[dev]
-                    for d in live[1:]:
-                        if busy[d] < low:
-                            low = busy[d]
-                            dev = d
-                io = IORequest(arr, bkt)
-                if busy[dev] - t + service > guarantee + 1e-12:
-                    issue_at = busy[dev]
-                    delayed = True
-                else:
-                    issue_at = t
-                    delayed = arr + 1e-9 < t
-                started = busy[dev] if busy[dev] > issue_at else issue_at
-                busy[dev] = started + service
-                if replay is not None:
-                    sub = _Submission(io, dev, issue_at, t, seq,
-                                      candidates=live,
-                                      first_issue=issue_at)
-                    heap_append((issue_at, t, seq, sub))
-                    seq += 1
-                else:
-                    io.device = dev
-                    io.issued_at = issue_at
-                    io.enqueued_at = issue_at
-                    io.started_at = started
-                    io.completed_at = busy[dev]
-                played_append(PlayedRequest(io, itv,
-                                            delayed, orig))
-        if replay is not None:
-            replay._seq = seq
+            mask_idx, masks = [0] * n, (frozenset(),)
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            t = times[a]
+            itv = intervals[a]
+            while a < b and not admitted[a]:
+                orig = order[a]
+                played.append(PlayedRequest(
+                    IORequest(arrivals[orig], bucket_col[orig]), itv,
+                    False, orig, True))
+                a += 1
+            if b - a > 1:
+                player._dispatch(order[a:b], t, itv, arrivals,
+                                 bucket_col, busy, service, None,
+                                 played, self.admission)
+                continue
+            if a == b:
+                continue
+            orig = order[a]
+            bkt = bucket_col[orig]
+            ki = mask_idx[a]
+            live = live_cache.get((ki, bkt))
+            if live is None:
+                live = devices_for(bkt)
+                if masks[ki]:
+                    live = tuple(d for d in live if d not in masks[ki])
+                live_cache[ki, bkt] = live
+            if not live:  # every replica masked: unavailable
+                played.append(PlayedRequest(
+                    _unavailable_io(arrivals[orig], bkt, t), itv,
+                    False, orig))
+                continue
+            player._issue_one(orig, player._pick(live, t, busy), t, itv,
+                              arrivals, bucket_col, busy, service, None,
+                              played, self.admission, candidates=live)
 
     def drain(self) -> Tuple[IntervalSeries, List[PlayedRequest]]:
         """Process everything pending and close the session."""

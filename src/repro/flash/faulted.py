@@ -33,8 +33,7 @@ How the replay stays exact
   and feed nothing back into the replay (no failovers originate from
   them), so their submissions are deferred and evaluated in bulk with
   the vectorized Lindley recurrence
-  (:func:`repro.flash.fastpath.fcfs_completion_times` /
-  :func:`repro.flash.batch.stacked_fcfs_completion_times`); only
+  (:func:`repro.flash.batch.stacked_fcfs_completion_times`); only
   fault-affected modules replay request-by-request.
 
 Driver failover (the online driver's retry on the next live replica)

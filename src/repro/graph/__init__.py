@@ -8,8 +8,13 @@ provides the from-scratch substrate:
 * :class:`~repro.graph.flownet.FlowNetwork` -- a compact adjacency-list
   flow network with residual edges,
 * :func:`~repro.graph.dinic.max_flow` -- Dinic's algorithm,
-* :mod:`~repro.graph.matching` -- bipartite assignment helpers built on
-  top of the flow solver,
+* :func:`~repro.graph.matching.bounded_degree_assignment` -- the one
+  Dinic assignment builder (uniform or per-bin capacity): the
+  reference every other solver is checked against, and the solver for
+  backlogged batches and arrays too wide for bitsets,
+* :mod:`~repro.graph.kuhn` -- the capacitated augmenting-path matcher
+  whose order-sensitive assignments *are* the ``maxflow_retrieval``
+  schedules,
 * :mod:`~repro.graph.kernels` -- vectorized bitset feasibility,
   warm-started incremental matching and memoized schedules for the
   retrieval hot path (exact, cross-checked against the solvers above).

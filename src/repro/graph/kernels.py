@@ -29,9 +29,10 @@ batches -- to answer it in bulk and from caches instead:
   masks -- booleans are order-invariant -- and :data:`SCHEDULE_CACHE`
   on the *exact ordered* candidate tuple, because the legacy matcher's
   assignment depends on request order and byte-identity demands the
-  verbatim schedule);
-* **CSR Dinic fallback** -- :func:`csr_capacitated_assignment` solves
-  arrays too wide for bitsets (``N > 64``) on flat CSR arrays.
+  verbatim schedule).
+
+Arrays too wide for bitsets (``N > 64``) fall back to the Dinic
+reference, :func:`repro.graph.matching.bounded_degree_assignment`.
 
 Everything here is **exact** and the wired call paths are
 byte-identical to the legacy ones -- enforced by the ``kernels``
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -59,7 +60,7 @@ __all__ = [
     "exclusion_mask", "apply_exclusion",
     "hall_feasible_many", "batch_feasible", "feasible",
     "feasible_cached", "minimum_accesses_many",
-    "WarmStartMatcher", "csr_capacitated_assignment",
+    "WarmStartMatcher",
     "LruCache", "FEASIBLE_CACHE", "SCHEDULE_CACHE", "SAMPLER_CACHE",
     "MISS", "cache_stats", "clear_caches",
 ]
@@ -320,8 +321,8 @@ def feasible(candidates: Sequence[Sequence[int]], n_devices: int,
     """Exact single-batch feasibility on the kernel path.
 
     Greedy bitset certificate first; failures escalate to the dense
-    Hall test (``N <= 16``), the reference matcher (``N <= 64``) or
-    the CSR Dinic solver (wider arrays).  Always exact.
+    Hall test (``N <= 16``) or the reference matcher (``N <= 64``);
+    wider arrays go to the Dinic reference.  Always exact.
     """
     if not candidates:
         return True
@@ -339,8 +340,10 @@ def feasible(candidates: Sequence[Sequence[int]], n_devices: int,
         from repro.graph.kuhn import capacitated_feasible
 
         return capacitated_feasible(candidates, n_devices, capacity)
-    return csr_capacitated_assignment(candidates, n_devices,
-                                      capacity) is not None
+    from repro.graph.matching import bounded_degree_assignment
+
+    return bounded_degree_assignment(candidates, n_devices,
+                                     capacity) is not None
 
 
 def minimum_accesses_many(masks: np.ndarray,
@@ -701,132 +704,3 @@ class WarmStartMatcher:
             level += 1
             if level > count:  # pragma: no cover - masks are non-empty
                 raise RuntimeError("level search failed to terminate")
-
-
-# ---------------------------------------------------------------------------
-# CSR Dinic fallback (N > 64)
-# ---------------------------------------------------------------------------
-
-def csr_capacitated_assignment(candidates: Sequence[Sequence[int]],
-                               n_bins: int, capacity: int,
-                               ) -> Optional[List[int]]:
-    """Exact assignment on flat CSR arrays; the wide-array fallback.
-
-    Same contract as :func:`repro.graph.kuhn.capacitated_assignment`,
-    solved as a max-flow with Dinic's algorithm on a compressed-sparse
-    edge layout (``to``/``cap`` arrays, paired reverse edges at
-    ``i ^ 1``, per-node edge slices) instead of per-node Python lists
-    -- no object graph to build or chase for arrays too wide for the
-    bitset kernels.
-    """
-    if capacity < 0:
-        raise ValueError(f"capacity must be >= 0, got {capacity}")
-    n_items = len(candidates)
-    if n_items == 0:
-        return []
-    if capacity == 0:
-        return None
-    item_bins = [list(dict.fromkeys(c)) for c in candidates]
-    for bins in item_bins:
-        for d in bins:
-            if not 0 <= d < n_bins:
-                raise ValueError(f"bin {d} out of range")
-    n_mid = sum(len(b) for b in item_bins)
-    n_nodes = n_items + n_bins + 2
-    source = n_items + n_bins
-    sink = source + 1
-    n_edges = 2 * (n_items + n_mid + n_bins)
-
-    to = np.empty(n_edges, dtype=np.int32)
-    cap = np.empty(n_edges, dtype=np.int64)
-    degree = np.zeros(n_nodes, dtype=np.int64)
-    pairs: List[Tuple[int, int, int]] = []  # (u, v, capacity)
-    for i in range(n_items):
-        pairs.append((source, i, 1))
-    first_mid_edge = 2 * n_items
-    for i, bins in enumerate(item_bins):
-        for d in bins:
-            pairs.append((i, n_items + d, 1))
-    for d in range(n_bins):
-        pairs.append((n_items + d, sink, capacity))
-    for e, (u, v, c) in enumerate(pairs):
-        to[2 * e] = v
-        cap[2 * e] = c
-        to[2 * e + 1] = u
-        cap[2 * e + 1] = 0
-        degree[u] += 1
-        degree[v] += 1
-    indptr = np.zeros(n_nodes + 1, dtype=np.int64)
-    np.cumsum(degree, out=indptr[1:])
-    fill = indptr[:-1].copy()
-    adj = np.empty(n_edges, dtype=np.int64)
-    for e, (u, v, _) in enumerate(pairs):
-        adj[fill[u]] = 2 * e
-        fill[u] += 1
-        adj[fill[v]] = 2 * e + 1
-        fill[v] += 1
-
-    levels = np.empty(n_nodes, dtype=np.int64)
-    iters = np.empty(n_nodes, dtype=np.int64)
-    total = 0
-    while total < n_items:
-        # BFS level graph.
-        levels.fill(-1)
-        levels[source] = 0
-        frontier = [source]
-        while frontier:
-            nxt: List[int] = []
-            for u in frontier:
-                for p in range(indptr[u], indptr[u + 1]):
-                    e = adj[p]
-                    v = to[e]
-                    if cap[e] > 0 and levels[v] < 0:
-                        levels[v] = levels[u] + 1
-                        nxt.append(int(v))
-            frontier = nxt
-        if levels[sink] < 0:
-            break
-        # Blocking flow: explicit-stack DFS over the CSR arrays.
-        np.copyto(iters, indptr[:-1])
-        while True:
-            path: List[int] = []
-            u = source
-            sent = 0
-            while True:
-                if u == sink:
-                    sent = int(min(cap[e] for e in path))
-                    for e in path:
-                        cap[e] -= sent
-                        cap[e ^ 1] += sent
-                    break
-                advanced = False
-                while iters[u] < indptr[u + 1]:
-                    e = adj[iters[u]]
-                    v = to[e]
-                    if cap[e] > 0 and levels[v] == levels[u] + 1:
-                        path.append(int(e))
-                        u = int(v)
-                        advanced = True
-                        break
-                    iters[u] += 1
-                if advanced:
-                    continue
-                if u == source:
-                    break
-                # Dead end: retreat and retire the edge we came by.
-                e = path.pop()
-                u = int(to[e ^ 1])
-                iters[u] += 1
-            if sent == 0:
-                break
-            total += sent
-    if total < n_items:
-        return None
-    assignment = [-1] * n_items
-    edge = first_mid_edge
-    for i, bins in enumerate(item_bins):
-        for d in bins:
-            if cap[edge] == 0 and assignment[i] < 0:
-                assignment[i] = d
-            edge += 2
-    return assignment

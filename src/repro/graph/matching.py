@@ -3,12 +3,15 @@
 This is the abstract problem underlying optimal retrieval of replicated
 blocks (paper §III-C): each *item* (block request) may be served by any
 of its *bins* (the devices holding a replica) and each bin can serve at
-most ``capacity`` items per access round.
+most ``capacity`` items per access round -- uniformly, or per bin
+when devices start with unequal backlog.  This is the Dinic reference
+every other assignment solver is checked against.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+from numbers import Integral
+from typing import List, Optional, Sequence, Set, Union
 
 from repro.graph.dinic import max_flow
 from repro.graph.flownet import FlowNetwork
@@ -19,7 +22,7 @@ __all__ = ["bounded_degree_assignment"]
 def bounded_degree_assignment(
     candidates: Sequence[Sequence[int]],
     n_bins: int,
-    capacity: int,
+    capacity: Union[int, Sequence[int]],
 ) -> Optional[List[int]]:
     """Assign each item to one of its candidate bins, bins holding <= capacity.
 
@@ -31,7 +34,9 @@ def bounded_degree_assignment(
     n_bins:
         Total number of bins (bins are ``0 .. n_bins-1``).
     capacity:
-        Maximum number of items per bin.
+        Maximum number of items per bin: one int for every bin, or a
+        per-bin sequence of ``n_bins`` ints (e.g. the residual
+        capacity of devices still draining a backlog).
 
     Returns
     -------
@@ -40,11 +45,18 @@ def bounded_degree_assignment(
         feasible assignment exists.
     """
     n_items = len(candidates)
-    if capacity < 0:
+    if isinstance(capacity, Integral):
+        caps = [capacity] * n_bins
+    else:
+        caps = [int(c) for c in capacity]
+        if len(caps) != n_bins:
+            raise ValueError(f"need {n_bins} per-bin capacities, "
+                             f"got {len(caps)}")
+    if any(c < 0 for c in caps):
         raise ValueError(f"capacity must be >= 0, got {capacity}")
     if n_items == 0:
         return []
-    if capacity == 0:
+    if not any(caps):
         return None
 
     # Node layout: 0 = source, 1..n_items = items,
@@ -70,7 +82,7 @@ def bounded_degree_assignment(
         item_edges.append(edges)
         item_bins.append(bins)
     for b in range(n_bins):
-        net.add_edge(1 + n_items + b, sink, capacity)
+        net.add_edge(1 + n_items + b, sink, caps[b])
 
     if max_flow(net, source, sink) < n_items:
         return None
@@ -84,31 +96,3 @@ def bounded_degree_assignment(
         if assignment[i] < 0:  # pragma: no cover - flow guarantees this
             raise RuntimeError(f"item {i} unassigned despite full flow")
     return assignment
-
-
-def min_capacity_assignment(
-    candidates: Sequence[Sequence[int]],
-    n_bins: int,
-) -> tuple[int, List[int]]:
-    """Find the smallest per-bin capacity admitting a full assignment.
-
-    Returns ``(capacity, assignment)``.  The search is linear upward
-    from the trivial lower bound ``ceil(n_items / n_bins)``; the design
-    guarantees of this project keep the answer within a step or two of
-    the bound, so linear beats binary search in practice.
-    """
-    n_items = len(candidates)
-    if n_items == 0:
-        return 0, []
-    low = -(-n_items // n_bins)  # ceil division
-    cap = low
-    while True:
-        assignment = bounded_degree_assignment(candidates, n_bins, cap)
-        if assignment is not None:
-            return cap, assignment
-        cap += 1
-        if cap > n_items:  # pragma: no cover - always feasible by then
-            raise RuntimeError("no feasible assignment found")
-
-
-__all__.append("min_capacity_assignment")

@@ -15,6 +15,7 @@ from repro.allocation.degraded import DataUnavailableError
 from repro.check import sanitizers
 from repro.graph import kernels
 from repro.graph.kuhn import capacitated_assignment
+from repro.graph.matching import bounded_degree_assignment
 from repro.retrieval.schedule import RetrievalSchedule, optimal_accesses
 
 __all__ = ["maxflow_retrieval", "is_retrievable_in",
@@ -160,7 +161,7 @@ def maxflow_retrieval_with_carry(candidates: Sequence[Sequence[int]],
         pruned = [[d for d in cands if residual[d] > 0]
                   for cands in candidates]
         if all(p for p in pruned):
-            assignment = _variable_capacity_assignment(
+            assignment = bounded_degree_assignment(
                 pruned, n_devices, residual)
             if assignment is not None:
                 if sanitizers.ACTIVE:
@@ -171,32 +172,3 @@ def maxflow_retrieval_with_carry(candidates: Sequence[Sequence[int]],
         if m > b + max(carry_units):  # pragma: no cover
             raise RuntimeError("carry retrieval failed to terminate")
 
-
-def _variable_capacity_assignment(candidates, n_devices, capacities):
-    """Like bounded_degree_assignment but with per-bin capacities."""
-    from repro.graph.dinic import max_flow
-    from repro.graph.flownet import FlowNetwork
-
-    n_items = len(candidates)
-    source = 0
-    sink = 1 + n_items + n_devices
-    net = FlowNetwork(sink + 1)
-    item_edges = []
-    item_bins = []
-    for i, cands in enumerate(candidates):
-        bins = list(dict.fromkeys(cands))
-        net.add_edge(source, 1 + i, 1)
-        edges = [net.add_edge(1 + i, 1 + n_items + d, 1) for d in bins]
-        item_edges.append(edges)
-        item_bins.append(bins)
-    for d in range(n_devices):
-        net.add_edge(1 + n_items + d, sink, int(capacities[d]))
-    if max_flow(net, source, sink) < n_items:
-        return None
-    assignment = [-1] * n_items
-    for i in range(n_items):
-        for edge, d in zip(item_edges[i], item_bins[i]):
-            if net.flow_on(edge) > 0:
-                assignment[i] = d
-                break
-    return assignment

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.faults import FaultEvent, FaultSchedule
-from repro.flash.driver import BatchTracePlayer, resolve_engine
+from repro.flash.driver import BatchTracePlayer, select_engine
 from repro.flash.params import MSR_SSD_PARAMS
 from tests.support.builders import (
     crash_schedule,
@@ -20,32 +20,55 @@ def _round_robin(alloc, n=120, gap=0.3):
     return arrivals, buckets
 
 
+def _engines(faults, engine="auto"):
+    """The engine both players resolve to under ``faults``."""
+    alloc = design_alloc()
+    return {BatchTracePlayer(alloc, 0.133, engine=engine,
+                             faults=faults).engine_selected,
+            online_player(alloc, faults=faults,
+                          engine=engine).engine_selected}
+
+
 class TestEngineFallback:
     def test_faulty_configs_keep_fast_path(self):
         # Fault schedules are materialised before playback, so the
         # replay engine handles them without falling back to the DES.
-        assert resolve_engine("auto", faults=crash_schedule(0)) == "fast"
+        assert _engines(crash_schedule(0)) == {"fast"}
 
     def test_empty_schedule_keeps_fast_path(self):
-        assert resolve_engine("auto", faults=FaultSchedule.none()) \
-            == "fast"
-        assert resolve_engine("auto", faults=None) == "fast"
+        assert _engines(FaultSchedule.none()) == {"fast"}
+        assert _engines(None) == {"fast"}
 
     def test_fast_accepts_faults(self):
-        assert resolve_engine("fast", faults=crash_schedule(0)) == "fast"
+        assert _engines(crash_schedule(0), engine="fast") == {"fast"}
 
     def test_module_factory_still_falls_back(self):
-        from repro.flash.driver import select_engine
-
-        engine, reason = select_engine(
-            "auto", module_factory=object(), faults=crash_schedule(0))
-        assert engine == "des"
-        assert reason == "module_factory"
+        player = online_player(faults=crash_schedule(0),
+                               module_factory=object())
+        assert player.engine_selected == "des"
+        assert player.fallback_reason == "module_factory"
         with pytest.raises(ValueError):
             select_engine("fast", module_factory=object())
 
 
 class TestFailureAwareScheduling:
+    @pytest.mark.parametrize("engine", ["fast", "des"])
+    def test_exact_admission_fails_bucket_with_no_live_replica(
+            self, engine):
+        # every replica of bucket 0 is dead from t = 0: exact admission
+        # denies it in every interval, so delaying it would requeue it
+        # forever; it must fail as unavailable while bucket 1 is served
+        alloc = design_alloc()
+        dead = alloc.devices_for(0)
+        player = online_player(alloc, faults=crash_schedule(*dead),
+                               admission="exact", engine=engine)
+        _, played = player.play([0.0, 0.0], [0, 1])
+        by_bucket = {p.io.bucket: p for p in played}
+        assert len(played) == 2
+        assert by_bucket[0].failed and not by_bucket[0].rejected
+        assert by_bucket[0].io.fail_reason == "unavailable"
+        assert not by_bucket[1].failed
+
     def test_dead_module_never_serves(self):
         alloc = design_alloc()
         player = online_player(alloc, faults=crash_schedule(0, 4))

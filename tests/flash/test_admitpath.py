@@ -170,7 +170,8 @@ class TestSessionReporting:
 
 
 class TestBulkSpan:
-    """The jammed dispatch loop for runs of admitted singletons."""
+    """Singleton placement in the plan walk (per-mask memo, idle
+    first-replica shortcut) against the scalar loop."""
 
     def run_pair(self, arrivals, buckets, **kw):
         player = OnlineTracePlayer(design_alloc(), interval_ms=0.4,
@@ -199,8 +200,8 @@ class TestBulkSpan:
         self.run_pair(arrivals, [0] * 64)
 
     def test_mask_change_mid_span(self):
-        # a crash in the middle of an uncongested run cuts the span
-        # at the mask boundary; placement flips replicas exactly there
+        # a crash in the middle of an uncongested run switches the
+        # placement memo's mask; placement flips replicas exactly there
         arrivals = [i * 0.25 for i in range(80)]
         buckets = [i % 36 for i in range(80)]
         played = self.run_pair(arrivals, buckets,
@@ -210,7 +211,7 @@ class TestBulkSpan:
         assert all(p.io.device not in (0, 4) for p in later)
 
     def test_all_replicas_masked_is_unavailable(self):
-        # crash every module: the bulk span must emit the same
+        # crash every module: the plan walk must emit the same
         # unavailable rows as the scalar loop
         played = self.run_pair([0.6, 0.85], [0, 1],
                                faults=crash_schedule(*range(9),

@@ -1,15 +1,26 @@
-"""The stacked sweep kernel: bit-identity and shape handling."""
+"""The stacked Lindley kernel: bit-identity and shape handling.
+
+Every stream is checked against the scalar recurrence
+(``_sequential_var``); the DES cross-checks live in
+``tests/flash/test_fastpath.py``.
+"""
 
 import numpy as np
 import pytest
 
+from repro.flash import batch
 from repro.flash.batch import (
+    _sequential_var,
     played_metrics,
     sequential_sum,
     stacked_fcfs_completion_times,
     stream_offsets,
 )
-from repro.flash.fastpath import fcfs_completion_times
+
+
+def fcfs_completion_times(u, svc):
+    """Scalar-recurrence reference for one constant-service stream."""
+    return _sequential_var(u, np.full(u.size, svc))
 
 
 def _ragged(rng, n_streams, max_len=40, horizon=20.0):
@@ -78,6 +89,26 @@ class TestStackedKernel:
         out = stacked_fcfs_completion_times(
             np.array([2.0, 1.0]), np.array([0, 1, 2]), 0.1)
         assert np.array_equal(out, np.array([2.1, 1.1]))
+        with pytest.raises(ValueError):
+            stacked_fcfs_completion_times(np.zeros((1, 1)), [0, 1], 0.1)
+
+    def test_misplaced_boundary_falls_back_to_sequential(self, monkeypatch):
+        # A locator that misses every busy-period start (the ulp-drift
+        # failure mode, exaggerated) must be caught by the verifier and
+        # the affected streams replayed by the scalar recurrence.
+        def sloppy(u, svc, offsets):
+            starts = np.zeros(u.size, dtype=bool)
+            starts[offsets[:-1][np.diff(offsets) > 0]] = True
+            return starts
+
+        monkeypatch.setattr(batch, "_locate_starts", sloppy)
+        u = np.array([0.0, 5.0, 5.1, 0.0, 0.05, 9.0])
+        offsets = np.array([0, 3, 6])
+        svc = np.array([0.2, 0.2, 0.2, 0.1, 0.4, 0.1])
+        out = stacked_fcfs_completion_times(u, offsets, svc)
+        ref = np.concatenate([_sequential_var(u[:3], svc[:3]),
+                              _sequential_var(u[3:], svc[3:])])
+        assert np.array_equal(out, ref)
 
     def test_stream_offsets_groups_fifo(self):
         ids = [2, 0, 2, 1, 0, 2]

@@ -3,6 +3,9 @@
 The acceptance bar is *float-exactness*: every completion time the
 closed form produces must equal the DES value bit for bit, across
 hundreds of randomized traces.  ``==`` on floats below is deliberate.
+Single-queue completions come from the one stacked Lindley kernel
+(:func:`repro.flash.batch.stacked_fcfs_completion_times`), whose
+one-stream case is checked against the scalar recurrence here.
 """
 
 import numpy as np
@@ -10,14 +13,12 @@ import pytest
 
 from repro.allocation.design_theoretic import DesignTheoreticAllocation
 from repro.experiments.common import play_original
+from repro.flash.batch import _sequential_var, \
+    stacked_fcfs_completion_times
 from repro.flash.driver import (
     BatchTracePlayer,
     OnlineTracePlayer,
-    resolve_engine,
-)
-from repro.flash.fastpath import (
-    _sequential_completions,
-    fcfs_completion_times,
+    select_engine,
     supports_fast_playback,
 )
 from repro.flash.params import MSR_SSD_PARAMS
@@ -25,6 +26,12 @@ from repro.traces.records import Trace
 
 READ = MSR_SSD_PARAMS.read_ms
 T = 0.133
+
+
+def fcfs_completion_times(issue_ms, service_ms):
+    """One FCFS queue: the stacked kernel's one-stream case."""
+    u = np.asarray(issue_ms, dtype=np.float64)
+    return stacked_fcfs_completion_times(u, [0, len(u)], service_ms)
 
 
 class TestSupportsFastPlayback:
@@ -36,14 +43,15 @@ class TestSupportsFastPlayback:
         assert not supports_fast_playback(ftl_factory=object())
         assert not supports_fast_playback(priority_queues=True)
 
-    def test_resolve_engine(self):
-        assert resolve_engine("auto") == "fast"
-        assert resolve_engine("auto", ftl_factory=object()) == "des"
-        assert resolve_engine("des") == "des"
+    def test_select_engine(self):
+        assert select_engine("auto") == ("fast", "")
+        assert select_engine("auto", ftl_factory=object()) \
+            == ("des", "ftl_factory")
+        assert select_engine("des") == ("des", "forced")
         with pytest.raises(ValueError):
-            resolve_engine("bogus")
+            select_engine("bogus")
         with pytest.raises(ValueError):
-            resolve_engine("fast", module_factory=object())
+            select_engine("fast", module_factory=object())
 
 
 class TestFcfsCompletionTimes:
@@ -81,7 +89,7 @@ class TestFcfsCompletionTimes:
                 u = np.round(u / READ) * READ
                 u.sort()
             c_fast = fcfs_completion_times(u, READ)
-            c_ref = _sequential_completions(u, READ)
+            c_ref = _sequential_var(u, np.full(n, READ))
             np.testing.assert_array_equal(c_fast, c_ref)
 
     def test_zero_service_time(self):

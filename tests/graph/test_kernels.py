@@ -7,11 +7,12 @@ from repro.graph import kernels
 from repro.graph.kernels import (
     FEASIBLE_CACHE, MISS, LruCache, WarmStartMatcher,
     batch_feasible, batch_mask_array, block_mask_array,
-    csr_capacitated_assignment, feasible, feasible_cached,
+    feasible, feasible_cached,
     hall_feasible_many, mask_of, masks_of, minimum_accesses_many,
 )
 from repro.graph.kuhn import capacitated_assignment, \
     capacitated_feasible
+from repro.graph.matching import bounded_degree_assignment
 
 
 @pytest.fixture(autouse=True)
@@ -270,29 +271,32 @@ def test_warm_start_min_accesses_rejects_empty_candidates():
         matcher.min_accesses()
 
 
-# -- CSR Dinic fallback --------------------------------------------------
+# -- wide arrays (N > 64): the Dinic reference ----------------------------
 
-def test_csr_assignment_edges():
-    assert csr_capacitated_assignment([], 4, 1) == []
-    assert csr_capacitated_assignment([[0]], 4, 0) is None
-    with pytest.raises(ValueError):
-        csr_capacitated_assignment([[0]], 4, -1)
-    with pytest.raises(ValueError):
-        csr_capacitated_assignment([[4]], 4, 1)
+def test_wide_feasible_edges():
+    n_dev = 70  # > BITSET_MAX_DEVICES
+    assert feasible([], n_dev, 1)
+    assert not feasible([[0]], n_dev, 0)
+    assert not feasible([[0], []], n_dev, 1)
+    assert not feasible([[69], [69]], n_dev, 1)
+    assert feasible([[69], [69]], n_dev, 2)
+    with pytest.raises(IndexError):
+        feasible([[n_dev]], n_dev, 1)
 
 
-def test_csr_assignment_matches_kuhn_randomized():
+def test_wide_assignment_matches_kuhn_randomized():
     rng = np.random.default_rng(29)
-    for n_dev in (5, 9):
+    for n_dev in (5, 9, 70):
         for _ in range(30):
             k = int(rng.integers(0, 12))
             cands = [[int(d) for d in rng.choice(
                 n_dev, size=int(rng.integers(1, 4)), replace=False)]
                 for _ in range(k)]
             cap = int(rng.integers(1, 3))
-            got = csr_capacitated_assignment(cands, n_dev, cap)
+            got = bounded_degree_assignment(cands, n_dev, cap)
             want = capacitated_assignment(cands, n_dev, cap)
             assert (got is None) == (want is None)
+            assert feasible(cands, n_dev, cap) == (want is not None)
             if got is not None:
                 for device, allowed in zip(got, cands):
                     assert device in allowed
@@ -300,10 +304,11 @@ def test_csr_assignment_matches_kuhn_randomized():
                     assert got.count(d) <= cap
 
 
-def test_csr_assignment_beyond_bitset_width():
+def test_feasible_beyond_bitset_width():
     n_dev = 80  # > BITSET_MAX_DEVICES
     cands = [[d, (d + 1) % n_dev] for d in range(n_dev)]
-    out = csr_capacitated_assignment(cands, n_dev, 1)
+    out = bounded_degree_assignment(cands, n_dev, 1)
     assert out is not None
     assert sorted(out) == sorted(set(out))  # capacity-1: all distinct
     assert feasible(cands, n_dev, 1)
+    assert not feasible(cands + [[0, 1]], n_dev, 1)

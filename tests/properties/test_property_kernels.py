@@ -1,9 +1,9 @@
 """Property tests: every retrieval solver answers identically.
 
-The bitset kernels, the warm-started matcher, the CSR Dinic fallback,
-the reference Kuhn matcher and the flow-based scheduler are five
-implementations of the same combinatorial question; any disagreement
-on any instance is a bug in one of them.
+The bitset kernels, the warm-started matcher, the reference Kuhn
+matcher, the Dinic assignment builder and the flow-based scheduler
+are five implementations of the same combinatorial question; any
+disagreement on any instance is a bug in one of them.
 """
 
 import numpy as np
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.graph import kernels
 from repro.graph.kernels import WarmStartMatcher, batch_mask_array, \
-    csr_capacitated_assignment, feasible, minimum_accesses_many
+    feasible, minimum_accesses_many
 from repro.graph.kuhn import capacitated_feasible
 from repro.graph.matching import bounded_degree_assignment
 
@@ -36,8 +36,6 @@ def test_all_solvers_agree_on_feasibility(params):
     want = capacitated_feasible(cands, n_devices, cap)
     assert feasible(cands, n_devices, cap) == want
     assert (bounded_degree_assignment(cands, n_devices, cap)
-            is not None) == want
-    assert (csr_capacitated_assignment(cands, n_devices, cap)
             is not None) == want
     matcher = WarmStartMatcher(n_devices, cap)
     for c in cands:
@@ -79,11 +77,12 @@ def test_optimal_access_count_agrees_with_maxflow(n_devices, raw):
        st.lists(st.lists(st.integers(0, 89), min_size=1, max_size=3),
                 min_size=0, max_size=10))
 def test_wide_array_fallback_agrees_with_kuhn(n_devices, cap, raw):
-    # N > 64: no bitset encoding; feasible() must route to CSR Dinic
+    # N > 64: no bitset encoding; feasible() must route to the Dinic
+    # reference
     cands = [sorted({b % n_devices for b in c}) for c in raw]
     want = capacitated_feasible(cands, n_devices, cap)
     assert feasible(cands, n_devices, cap) == want
-    assert (csr_capacitated_assignment(cands, n_devices, cap)
+    assert (bounded_degree_assignment(cands, n_devices, cap)
             is not None) == want
 
 

@@ -133,25 +133,26 @@ def _pr6_baseline():
         return any(e.kind == "crash" and t >= e.start
                    for e in self._by_module.get(module, ()))
 
-    orig_supports = driver.supports_fast_playback
+    players = (driver.BatchTracePlayer, driver.OnlineTracePlayer)
+    inits = [cls.__init__ for cls in players]
 
-    def supports(module_factory=None, ftl_factory=None,
-                 priority_queues=False, faults=None):
-        if faults is not None and getattr(faults, "events", ()):
-            return False
-        return orig_supports(module_factory=module_factory,
-                             ftl_factory=ftl_factory,
-                             priority_queues=priority_queues,
-                             faults=faults)
+    def des_when_faulted(init):
+        def patched(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            if getattr(self.faults, "events", ()):
+                self.engine, self.fallback_reason = "des", "faults"
+        return patched
 
     saved = FaultSchedule.masked_at, FaultSchedule.is_dead
     FaultSchedule.masked_at, FaultSchedule.is_dead = masked_at, is_dead
-    driver.supports_fast_playback = supports
+    for cls, init in zip(players, inits):
+        cls.__init__ = des_when_faulted(init)
     try:
         yield
     finally:
         FaultSchedule.masked_at, FaultSchedule.is_dead = saved
-        driver.supports_fast_playback = orig_supports
+        for cls, init in zip(players, inits):
+            cls.__init__ = init
 
 
 def _faulted_cell(cfg: dict, kind: str):
