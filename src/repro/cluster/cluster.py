@@ -32,9 +32,11 @@ Determinism contracts (enforced by tests and the ``cluster`` probe):
   well-formed (no mid-flight corruption to merge around).
 
 Roll-up leans on the mergeable observability primitives: per-shard
-:class:`~repro.flash.metrics.IntervalSeries` fold into one
-cluster-wide series whose state equals recording the concatenated
-sample stream (order-independent histogram + exact-moment state).
+:class:`~repro.flash.metrics.IntervalSeries` fold, in array order, into
+one cluster-wide series.  Its counts, histograms and exact sums equal
+recording the concatenated sample stream; its moments carry the merge
+re-shift terms, so avg/std agree with that recording up to the last
+ulp and are deterministic for a given cluster.
 """
 
 from __future__ import annotations
@@ -189,14 +191,12 @@ def _array_result(array: int, series: IntervalSeries, played,
             dtype=np.int64)
         h.update(floats.tobytes())
         h.update(ints.tobytes())
-    n_delayed = sum(1 for p in played
-                    if p.delayed and not p.rejected)
-    n_rejected = sum(1 for p in played if p.rejected)
+    counts = report.counts()
     return ArrayResult(
         array=array, series=series, n_requests=len(played),
-        n_failed=report.n_failed, n_faulted=report.n_faulted,
-        n_delayed=n_delayed, n_rejected=n_rejected,
-        n_violations=report.n_violations, fingerprint=h.hexdigest(),
+        n_failed=counts["n_failed"], n_faulted=counts["n_faulted"],
+        n_delayed=counts["n_delayed"], n_rejected=counts["n_rejected"],
+        n_violations=counts["n_violations"], fingerprint=h.hexdigest(),
         report=report if keep_requests else None)
 
 
@@ -240,12 +240,14 @@ class BoundaryRecord:
 class ClusterReport:
     """Cluster-wide roll-up of one play-through.
 
-    ``series`` merges the per-array interval series through the
-    mergeable histogram/exact-moment state, so its totals equal a
-    single report over the concatenated samples; the per-request
-    accounting (``n_failed``, ``n_violations``, ...) sums the
-    per-array counts plus the reads the router could not place
-    (``n_unrouted`` -- every replica array dead at arrival).
+    ``series`` merges the per-array interval series in array order:
+    its counts, histograms, extremes and delay sums equal one report
+    over the concatenated samples, while avg/std carry the rounded
+    re-shift terms of each merge (see :mod:`repro.flash.metrics`), so
+    they may differ from a concatenated recording in the last ulp.
+    The per-request accounting (``n_failed``, ``n_violations``, ...)
+    sums the per-array counts plus the reads the router could not
+    place (``n_unrouted`` -- every replica array dead at arrival).
     """
 
     config: ClusterConfig
@@ -254,13 +256,19 @@ class ClusterReport:
     n_unrouted: int
     routed: List[int]
     audit: List[BoundaryRecord] = field(default_factory=list)
+    _series: Optional[IntervalSeries] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def series(self) -> IntervalSeries:
-        merged = IntervalSeries()
-        for ar in self.arrays:
-            merged.merge(ar.series)
-        return merged
+        """The per-array series merged in array order (memoised: the
+        report is never modified after construction)."""
+        if self._series is None:
+            merged = IntervalSeries()
+            for ar in self.arrays:
+                merged.merge(ar.series)
+            self._series = merged
+        return self._series
 
     @property
     def overall(self):

@@ -53,6 +53,44 @@ class QoSReport:
     def overall(self) -> ResponseStats:
         return self.series.overall()
 
+    def counts(self) -> Dict[str, object]:
+        """Every per-request count, in one pass over the requests:
+        ``guarantee_met``, ``n_failed``, ``n_faulted`` and
+        ``n_violations`` as the properties define them, plus
+        ``n_rejected``, ``n_offered`` (not rejected) and ``n_delayed``
+        (delayed, not rejected).
+
+        Not memoised: the requests stay live objects, and a report
+        read after one of them changed reflects the change.
+        """
+        limit = self.guarantee_ms + 1e-9
+        within = True
+        failed = faulted = violations = delayed = rejected = 0
+        for r in self.requests:
+            io = r.io
+            response = io.response_ms
+            if not response <= limit:
+                within = False
+            if io.failed:
+                failed += 1
+            if r.rejected:
+                rejected += 1
+                continue
+            if r.delayed:
+                delayed += 1
+            if io.failed:
+                violations += 1
+            else:
+                if response > limit:
+                    violations += 1
+                if getattr(io, "faulted", False):
+                    faulted += 1
+        return {"guarantee_met": within and not failed,
+                "n_failed": failed, "n_faulted": faulted,
+                "n_violations": violations, "n_delayed": delayed,
+                "n_rejected": rejected,
+                "n_offered": len(self.requests) - rejected}
+
     @property
     def guarantee_met(self) -> bool:
         """True if every *undelayed* response met the guarantee.
@@ -60,42 +98,35 @@ class QoSReport:
         A failed request (fault layer: dead module, retries exhausted,
         no live replica) is an unconditional miss.
         """
-        if any(r.failed for r in self.requests):
-            return False
-        return all(r.io.response_ms <= self.guarantee_ms + 1e-9
-                   for r in self.requests)
+        return self.counts()["guarantee_met"]
 
     # -- degraded-mode accounting ----------------------------------------
     @property
     def n_failed(self) -> int:
         """Requests the fault layer lost outright."""
-        return sum(1 for r in self.requests if r.failed)
+        return self.counts()["n_failed"]
 
     @property
     def n_faulted(self) -> int:
         """Requests served, but across the fault path (failover,
         retry, down-window wait, degraded latency)."""
-        return sum(1 for r in self.requests
-                   if not r.failed and not r.rejected
-                   and getattr(r.io, "faulted", False))
+        return self.counts()["n_faulted"]
 
     @property
     def n_violations(self) -> int:
         """Guarantee misses: failed requests plus served responses
         over the guarantee (admission-rejected requests excluded)."""
-        n = 0
-        for r in self.requests:
-            if r.rejected:
-                continue
-            if r.failed or r.io.response_ms > self.guarantee_ms + 1e-9:
-                n += 1
-        return n
+        return self.counts()["n_violations"]
 
     @property
     def violation_rate(self) -> float:
         """``n_violations`` over non-rejected requests."""
-        total = sum(1 for r in self.requests if not r.rejected)
-        return self.n_violations / total if total else 0.0
+        return self._violation_rate(self.counts())
+
+    @staticmethod
+    def _violation_rate(counts: Dict[str, object]) -> float:
+        total = counts["n_offered"]
+        return counts["n_violations"] / total if total else 0.0
 
     @property
     def avg_response_ms(self) -> float:
@@ -115,14 +146,15 @@ class QoSReport:
 
     def summary(self) -> Dict[str, float]:
         out = self.overall.summary()
+        counts = self.counts()
         out["guarantee_ms"] = self.guarantee_ms
-        out["guarantee_met"] = float(self.guarantee_met)
-        if self.n_failed or self.n_faulted:
+        out["guarantee_met"] = float(counts["guarantee_met"])
+        if counts["n_failed"] or counts["n_faulted"]:
             # Degraded-mode keys appear only on faulty runs, so
             # healthy summaries keep their pre-faults shape.
-            out["n_failed"] = float(self.n_failed)
-            out["n_faulted"] = float(self.n_faulted)
-            out["violation_rate"] = self.violation_rate
+            out["n_failed"] = float(counts["n_failed"])
+            out["n_faulted"] = float(counts["n_faulted"])
+            out["violation_rate"] = self._violation_rate(counts)
         return out
 
 

@@ -226,11 +226,11 @@ def _play_original_fast(parts: Sequence[Trace],
 
     Each device is an independent FCFS constant-rate server fed its
     requests in arrival order, so all completion times are one
-    :func:`~repro.flash.batch.stacked_fcfs_completion_times` call.  Sample
-    lists are filled per part in the DES's stream order (stable sort by
+    :func:`~repro.flash.batch.stacked_fcfs_completion_times` call.
+    Samples are recorded in the DES's stream order (stable sort by
     arrival), which makes the resulting :class:`IntervalSeries`
     indistinguishable from the event-loop run -- same floats, same
-    list order.
+    order inside each part.
     """
     import numpy as np
 
@@ -259,8 +259,7 @@ def _play_original_fast(parts: Sequence[Trace],
     response = np.empty(issue.size, dtype=np.float64)
     response[grouping] = \
         stacked_fcfs_completion_times(u, offsets, service) - u
-    for p in np.unique(part_idx):
-        series.stats(int(p)).record_array(response[part_idx == p])
+    series.record_array(part_idx, response)
     if obs.ACTIVE:
         # same stream-order bulk record as the DES loop above; the
         # fold state is order-independent, so payloads stay identical

@@ -28,6 +28,28 @@ __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
            "ExactSum", "DEFAULT_LATENCY_BUCKETS"]
 
 
+def _expansion(values: List[float]) -> List[float]:
+    """The unique minimal expansion of ``sum(values)``, exactly.
+
+    Greedily peels off the correctly-rounded remainder (``math.fsum``
+    is exact-then-round) until nothing is left; the result is a pure
+    function of the exact real sum, in ascending magnitude.  Raises
+    ``OverflowError`` when a partial is not finite.
+    """
+    rest = list(values)
+    out: List[float] = []
+    while True:
+        v = math.fsum(rest)
+        if v == 0.0:
+            break
+        if not math.isfinite(v):
+            raise OverflowError("non-finite partial sum")
+        out.append(v)
+        rest.append(-v)
+    out.reverse()
+    return out
+
+
 class ExactSum:
     """Error-free float accumulation (Shewchuk partials).
 
@@ -61,8 +83,17 @@ class ExactSum:
         partials[i:] = [x]
 
     def add_many(self, values: Iterable[float]) -> None:
-        for v in values:
-            self.add(v)
+        """Add every value: the same represented sum as an :meth:`add`
+        loop, but only the few partials of the values' exact sum
+        (peeled with ``math.fsum``) go through the Python-level loop."""
+        values = list(values)
+        try:
+            partials = _expansion(values)
+        except (OverflowError, ValueError):
+            # non-finite input, or an exact sum beyond the float range
+            partials = values
+        for p in partials:
+            self.add(p)
 
     def merge(self, other: "ExactSum") -> None:
         """Fold ``other`` in; exact, so order never matters."""
@@ -84,16 +115,7 @@ class ExactSum:
         exact real value -- any two accumulators holding the same sum
         export the same floats.
         """
-        rest = ExactSum(self.partials)
-        out: List[float] = []
-        while True:
-            v = math.fsum(rest.partials)
-            if v == 0.0:
-                break
-            out.append(v)
-            rest.add(-v)
-        out.reverse()  # ascending magnitude, like the internal form
-        return out
+        return _expansion(self.partials)
 
     def copy(self) -> "ExactSum":
         return ExactSum(self.partials)
@@ -159,6 +181,22 @@ def _log_edges(lo: float, hi: float, per_decade: int) -> np.ndarray:
     return lo * np.power(10.0, k / per_decade)
 
 
+#: bucket edges per layout, shared read-only by every histogram
+_LAYOUTS: Dict[Tuple[float, float, int], Tuple[np.ndarray, List[float]]] = {}
+
+
+def _shared_edges(lo: float, hi: float,
+                  per_decade: int) -> Tuple[np.ndarray, List[float]]:
+    """The layout's edges as a read-only array plus its list twin."""
+    key = (lo, hi, per_decade)
+    edges = _LAYOUTS.get(key)
+    if edges is None:
+        arr = _log_edges(lo, hi, per_decade)
+        arr.setflags(write=False)
+        edges = _LAYOUTS[key] = (arr, arr.tolist())
+    return edges
+
+
 #: default layout for latency histograms: 1 ns .. 1 s in milliseconds,
 #: 60 buckets per decade (~3.9 % relative bucket width, so quantile
 #: estimates are within ~2 % of the true sample quantile)
@@ -198,10 +236,11 @@ class Histogram:
         self.lo = float(lo)
         self.hi = float(hi)
         self.per_decade = int(per_decade)
-        self._edges = _log_edges(self.lo, self.hi, self.per_decade)
-        #: plain-list twin of the edges for the scalar (bisect) path;
-        #: identical floats, so bisect_right == np.searchsorted 'right'
-        self._edges_list = self._edges.tolist()
+        #: edges, shared per layout, plus their plain-list twin for the
+        #: scalar (bisect) path; identical floats, so bisect_right ==
+        #: np.searchsorted 'right'.  Neither is ever written.
+        self._edges, self._edges_list = _shared_edges(
+            self.lo, self.hi, self.per_decade)
         #: counts[0] = underflow, counts[1:-1] = log buckets,
         #: counts[-1] = overflow
         self.counts = np.zeros(len(self._edges_list) + 1, dtype=np.int64)

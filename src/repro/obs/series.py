@@ -12,6 +12,7 @@ logical write, not its per-replica service windows.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -122,15 +123,18 @@ def module_interval_series(played: Sequence, n_devices: int,
         started.setdefault(d, []).append(s)
     if not seen:
         return series
-    # depth at boundary t = (#issued <= t) - (#started <= t)
-    boundaries = np.arange(last_boundary + 1, dtype=np.float64) \
-        * interval_ms
+    # depth at boundary t = (#issued <= t) - (#started <= t); nothing
+    # is issued before the first issue, so the scan starts at the last
+    # boundary at or below it (each boundary is still k * interval_ms)
+    first_boundary = max(0, min(
+        math.floor(min(times) / interval_ms) for times in issued.values()))
+    ks = np.arange(first_boundary, last_boundary + 1)
+    boundaries = ks.astype(np.float64) * interval_ms
     for d in sorted(issued):
         arr_in = np.sort(np.asarray(issued[d], dtype=np.float64))
         arr_out = np.sort(np.asarray(started[d], dtype=np.float64))
         depth = (np.searchsorted(arr_in, boundaries, side="right")
                  - np.searchsorted(arr_out, boundaries, side="right"))
-        for k, n in enumerate(depth):
-            if n > 0:
-                series.depth[(d, k)] = int(n)
+        for j in np.flatnonzero(depth > 0).tolist():
+            series.depth[(d, int(ks[j]))] = int(depth[j])
     return series
