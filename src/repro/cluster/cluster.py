@@ -56,9 +56,8 @@ from repro.core.qos import QoSFlashArray, QoSReport
 from repro.faults import FaultSchedule
 from repro.flash.driver import OnlineTracePlayer
 from repro.flash.metrics import IntervalSeries
-from repro.mining.apriori import apriori
 from repro.mining.matching import FIMBlockMatcher, MatchResult
-from repro.mining.transactions import transactions_from_trace
+from repro.mining.pairs import mine_trace_pairs
 from repro.obs.series import ModuleSeries, module_interval_series
 from repro.traces.records import Trace
 
@@ -216,8 +215,7 @@ def _cell_play_array(config: ClusterConfig, array: int,
                                array, config.n_devices)
     qos = _make_qos(config, faults)
     player = _make_player(config, qos, faults)
-    series, played = player.play(
-        [float(t) for t in arrivals], [int(b) for b in buckets])
+    series, played = player.play(arrivals, buckets)
     return _array_result(array, series, played, qos.guarantee_ms,
                          keep_requests=False)
 
@@ -461,15 +459,12 @@ masked_arrays_at`) without ever touching in-flight playback.
                 prev_sub[a] = sub
                 if sub is None:
                     continue
-                mapped = self._map_buckets(match[a], sub.block)
+                mapped = match[a].map_array(sub.block)
                 if serial:
-                    sessions[a].feed(
-                        [float(t) for t in sub.arrival_ms], mapped)
+                    sessions[a].feed(sub.arrival_ms, mapped)
                 else:
-                    feed_arrivals[a].append(
-                        np.asarray(sub.arrival_ms, dtype=np.float64))
-                    feed_buckets[a].append(
-                        np.asarray(mapped, dtype=np.int64))
+                    feed_arrivals[a].append(sub.arrival_ms)
+                    feed_buckets[a].append(mapped)
 
         if serial:
             results = []
@@ -517,12 +512,10 @@ masked_arrays_at`) without ever touching in-flight playback.
         for a, sub in enumerate(prev_sub):
             if sub is None or not len(sub):
                 continue
-            txns = transactions_from_trace(sub, cfg.fim_window_ms)
-            itemsets = apriori(txns, cfg.min_support, max_size=2)
-            match[a] = matchers[a].match(itemsets)
-        whole = apriori(
-            transactions_from_trace(prev_part, cfg.fim_window_ms),
-            cfg.min_support, max_size=2)
+            match[a] = matchers[a].match(mine_trace_pairs(
+                sub, cfg.fim_window_ms, cfg.min_support))
+        whole = mine_trace_pairs(prev_part, cfg.fim_window_ms,
+                                 cfg.min_support)
         hot = {b: s for b, s in pair_support_by_block(whole).items()
                if s >= cfg.hot_support}
         excluded: FrozenSet[int] = frozenset()
@@ -611,16 +604,6 @@ masked_arrays_at`) without ever touching in-flight playback.
                         & np.isin(dest, sorted(dead))
                     unrouted |= sel
         return dest, unrouted
-
-    def _map_buckets(self, match: MatchResult,
-                     blocks: np.ndarray) -> List[int]:
-        """FIM-mapped design buckets via a unique-block table."""
-        uniq, inverse = np.unique(np.asarray(blocks, dtype=np.int64),
-                                  return_inverse=True)
-        lut = np.fromiter(
-            (match.design_block_of(int(b)) for b in uniq),
-            dtype=np.int64, count=uniq.size)
-        return [int(b) for b in lut[inverse]]
 
     def _sync_router(self, router: ReplicaRouter, sessions, marks,
                      module_series: List[ModuleSeries],

@@ -328,12 +328,10 @@ StaticPlacement` is the do-nothing baseline.
             else:
                 match_rates.append(0.0)
             # -- feed the part's traffic under the placement in force -----
-            session.feed([float(t) for t in part.arrival_ms],
-                         match.map_blocks(part.block))
+            session.feed(part.arrival_ms, match.map_array(part.block))
             part_of_request.extend([part_idx] * len(part))
             reads = part.reads_only()
-            for t, b in zip(reads.arrival_ms, reads.block):
-                txns.observe(float(t), int(b))
+            txns.observe_many(reads.arrival_ms, reads.block)
         series, played = session.drain()
         report = QoSReport(series, played, self.qos.guarantee_ms)
         if session_hook is not None:

@@ -37,8 +37,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
+import numpy as np
+
 from repro.allocation.base import AllocationScheme
-from repro.mining.itemsets import ItemsetCounts
+from repro.mining.itemsets import ItemsetCounts, first_appearance
 from repro.mining.matching import MatchResult
 
 __all__ = ["PlacementDelta", "ReplicationPlan", "ReplicationPlanner",
@@ -50,13 +52,16 @@ def pair_support_by_block(itemsets: ItemsetCounts) -> Dict[int, int]:
 
     The planner orders deltas by this value -- a block in a
     high-support pair is the one most worth re-replicating first.
+    Pairs come by descending support, so a block's first appearance
+    carries its strongest support; blocks are listed in that order.
+    Pairs of support <= 0 give no block an entry.
     """
-    support: Dict[int, int] = {}
-    for a, b, s in itemsets.pairs():
-        for blk in (a, b):
-            if s > support.get(blk, 0):
-                support[blk] = s
-    return support
+    a, b, s = itemsets.pair_columns()
+    keep = s > 0
+    flat = np.column_stack((a[keep], b[keep])).ravel()
+    first, _rank = first_appearance(flat)
+    support = np.repeat(s[keep], 2)
+    return dict(zip(flat[first].tolist(), support[first].tolist()))
 
 
 @dataclass(frozen=True)

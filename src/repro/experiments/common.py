@@ -5,12 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro import obs
 from repro.core.qos import QoSFlashArray, QoSReport
 from repro.flash.metrics import IntervalSeries
-from repro.mining.apriori import apriori
 from repro.mining.matching import FIMBlockMatcher, MatchResult
-from repro.mining.transactions import transactions_from_trace
+from repro.mining.pairs import mine_trace_pairs
 from repro.traces.records import Trace
 
 __all__ = ["ExperimentResult", "render_table", "WorkloadRun",
@@ -140,26 +141,32 @@ def play_workload(parts: Sequence[Trace], n_devices: int,
                         seed=seed, engine=engine)
     matcher = FIMBlockMatcher(qos.allocation)
     match = MatchResult.empty(qos.allocation.n_buckets)
-    arrivals: List[float] = []
-    buckets: List[int] = []
+    arrivals: List[np.ndarray] = []
+    buckets: List[np.ndarray] = []
     part_of_request: List[int] = []
     match_rates: List[float] = []
     prev: Optional[Trace] = None
     for part_idx, part in enumerate(parts):
         if prev is not None:
-            txns = transactions_from_trace(prev, fim_window_ms)
-            match = matcher.match(apriori(txns, min_support, max_size=2))
+            match = matcher.match(
+                mine_trace_pairs(prev, fim_window_ms, min_support))
             match_rates.append(match.match_rate(part.block))
         else:
             match_rates.append(0.0)
-        arrivals.extend(float(t) for t in part.arrival_ms)
-        buckets.extend(match.map_blocks(part.block))
+        arrivals.append(part.arrival_ms)
+        buckets.append(match.map_array(part.block))
         part_of_request.extend([part_idx] * len(part))
         prev = part
+    all_arrivals = np.concatenate(arrivals) if arrivals \
+        else np.zeros(0, dtype=np.float64)
+    all_buckets = np.concatenate(buckets) if buckets \
+        else np.zeros(0, dtype=np.int64)
     if mode == "online":
-        report = qos.run_online(arrivals, buckets)
+        report = qos.run_online(all_arrivals, all_buckets)
     elif mode == "batch":
-        report = qos.run_batch(arrivals, buckets)
+        # the batch player walks requests one by one: hand it lists
+        report = qos.run_batch(all_arrivals.tolist(),
+                               all_buckets.tolist())
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return WorkloadRun(report=report, match_rates=match_rates,

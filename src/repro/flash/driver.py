@@ -1014,26 +1014,27 @@ class OnlineStreamSession:
             # every replica -- inherently scalar; rebuild the heap and
             # continue on the reference loop.
             self._demote("writes")
+        times = np.ascontiguousarray(arrivals, dtype=np.float64)
+        ids = np.asarray(buckets).astype(np.int64, copy=False).tolist()
+        base = len(self.arrivals)
+        n = len(ids)
         if self._vec is not None:
-            base = len(self.arrivals)
-            n = len(arrivals)
-            times = np.ascontiguousarray(arrivals, dtype=np.float64)
             self.arrivals.extend(times.tolist())
-            self.buckets.extend(int(b) for b in buckets)
+            self.buckets.extend(ids)
             self.is_read.extend([True] * n)
             self._vec.feed(times, np.arange(base, base + n,
                                             dtype=np.int64))
             return
-        base = len(self.arrivals)
-        for i, t in enumerate(arrivals):
-            seq = base + i
-            self.arrivals.append(float(t))
-            self.buckets.append(int(buckets[i]))
-            self.is_read.append(True if reads is None
-                                else bool(reads[i]))
-            if self.apps is not None:
-                self.apps.append(apps[i])
-            heapq.heappush(self.heap, (float(t), 0, seq, seq))
+        flags = [True] * n if reads is None \
+            else np.asarray(reads, dtype=bool).tolist()
+        for seq, t, b, r in zip(range(base, base + n), times.tolist(),
+                                ids, flags):
+            self.arrivals.append(t)
+            self.buckets.append(b)
+            self.is_read.append(r)
+            heapq.heappush(self.heap, (t, 0, seq, seq))
+        if self.apps is not None:
+            self.apps.extend(apps)
 
     # -- processing --------------------------------------------------------
     def interval_of(self, t: float) -> int:

@@ -8,6 +8,9 @@ Implements the substrate the paper takes from ``fim_apriori-lowmem``:
   :mod:`~repro.mining.fpgrowth` -- the three classic FIM algorithm
   families (§IV-A cites exactly these); they produce identical
   itemsets, which the test-suite exploits as a cross-check,
+* :mod:`~repro.mining.pairs` -- the columnar pair kernel the serving
+  pipelines mine with: Apriori's frequent pairs of a trace in one
+  numpy pass, identical to ``apriori(..., max_size=2)``,
 * :mod:`~repro.mining.streaming` -- incremental FP-growth for the live
   controller (:mod:`repro.controller`), provably identical to the
   batch miners at every stream prefix,

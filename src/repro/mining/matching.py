@@ -17,12 +17,38 @@ too further reduces serialisation).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.allocation.base import AllocationScheme
-from repro.mining.itemsets import ItemsetCounts
+from repro.mining.itemsets import ItemsetCounts, first_appearance
 
 __all__ = ["FIMBlockMatcher", "MatchResult"]
+
+
+def _as_int64(data_blocks: Iterable[int]) -> np.ndarray:
+    """Block ids as ``int64`` (``int()`` semantics, any iterable)."""
+    if not hasattr(data_blocks, "__len__"):
+        data_blocks = list(data_blocks)
+    return np.asarray(data_blocks).astype(np.int64, copy=False)
+
+
+def _find(keys: np.ndarray, blocks: np.ndarray):
+    """Position of each block in the sorted ``keys``, and whether it
+    is there."""
+    if keys.size == 0:
+        return np.zeros(blocks.size, dtype=np.intp), \
+            np.zeros(blocks.size, dtype=bool)
+    pos = np.minimum(np.searchsorted(keys, blocks), keys.size - 1)
+    return pos, keys[pos] == blocks
+
+
+def _bitmask(devices: Iterable[int]) -> int:
+    mask = 0
+    for d in devices:
+        mask |= 1 << int(d)
+    return mask
 
 
 @dataclass
@@ -51,8 +77,25 @@ class MatchResult:
             return got
         return int(data_block) % self.n_design_blocks
 
+    def map_array(self, data_blocks: Iterable[int]) -> np.ndarray:
+        """:meth:`design_block_of` of every block, as an ``int64`` array.
+
+        One ``searchsorted`` against the sorted mapping keys; blocks
+        the mapping misses take the modulo fallback.
+        """
+        blocks = _as_int64(data_blocks)
+        out = blocks % self.n_design_blocks
+        keys = np.fromiter(self.mapping, dtype=np.int64,
+                           count=len(self.mapping))
+        order = np.argsort(keys)
+        pos, hit = _find(keys[order], blocks)
+        values = np.fromiter(self.mapping.values(), dtype=np.int64,
+                             count=len(self.mapping))[order]
+        out[hit] = values[pos[hit]]
+        return out
+
     def map_blocks(self, data_blocks: Iterable[int]) -> List[int]:
-        return [self.design_block_of(b) for b in data_blocks]
+        return self.map_array(data_blocks).tolist()
 
     def match_rate(self, data_blocks: Sequence[int]) -> float:
         """Fraction of ``data_blocks`` covered by the FIM mapping.
@@ -63,9 +106,10 @@ class MatchResult:
         """
         if len(data_blocks) == 0:
             return 0.0
-        hits = sum(1 for b in data_blocks
-                   if int(b) in self.matched_blocks)
-        return hits / len(data_blocks)
+        matched = np.sort(np.fromiter(self.matched_blocks, dtype=np.int64,
+                                      count=len(self.matched_blocks)))
+        _pos, hit = _find(matched, _as_int64(data_blocks))
+        return int(np.count_nonzero(hit)) / len(data_blocks)
 
     @classmethod
     def empty(cls, n_design_blocks: int) -> "MatchResult":
@@ -86,8 +130,11 @@ class FIMBlockMatcher:
     def __init__(self, allocation: AllocationScheme):
         self.allocation = allocation
         self.n_design_blocks = allocation.n_buckets
-        self._device_sets = [frozenset(allocation.devices_for(b))
-                             for b in range(self.n_design_blocks)]
+        #: each design block's device set as a bitmask, and neighbour-
+        #: device mask -> _overlap_levels; both filled by match(), so
+        #: building a matcher costs nothing
+        self._device_masks: Optional[List[int]] = None
+        self._levels: Dict[int, Tuple[int, ...]] = {}
 
     def match_history(self, itemset_history: Sequence[ItemsetCounts],
                       decay: float = 0.5) -> MatchResult:
@@ -127,43 +174,65 @@ class FIMBlockMatcher:
         the design block that (1) differs from every already-assigned
         neighbour's design block and (2) overlaps their device sets
         least, with a rotating tie-break to spread load.
+
+        Blocks are assigned in order of first appearance in the pair
+        list, so the ``r``-th block assigned has cursor ``r`` and its
+        already-assigned neighbours are exactly those of lower rank:
+        each pair is visited once, from its later block.
         """
-        pairs = itemsets.pairs()
-        neighbours: Dict[int, Set[int]] = {}
-        for a, b, _support in pairs:
-            neighbours.setdefault(a, set()).add(b)
-            neighbours.setdefault(b, set()).add(a)
-
-        mapping: Dict[int, int] = {}
-        cursor = 0  # rotating start for tie-breaking
-        for a, b, _support in pairs:
-            for blk in (a, b):
-                if blk not in mapping:
-                    mapping[blk] = self._choose(blk, neighbours, mapping,
-                                                cursor)
-                    cursor += 1
-        return MatchResult(mapping, frozenset(mapping),
-                           self.n_design_blocks)
-
-    def _choose(self, blk: int, neighbours: Dict[int, Set[int]],
-                mapping: Dict[int, int], cursor: int) -> int:
-        taken: Set[int] = set()
-        neighbour_devices: Set[int] = set()
-        for other in neighbours.get(blk, ()):
-            db = mapping.get(other)
-            if db is not None:
-                taken.add(db)
-                neighbour_devices |= self._device_sets[db]
+        a, b, _support = itemsets.pair_columns()
         n = self.n_design_blocks
-        best, best_score = blk % n, None
-        for off in range(n):
-            cand = (cursor + off) % n
-            if cand in taken:
-                continue
-            overlap = len(self._device_sets[cand] & neighbour_devices)
-            score = (overlap, off)
-            if best_score is None or score < best_score:
-                best, best_score = cand, score
-                if overlap == 0:
-                    break
-        return best
+        flat = np.column_stack((a, b)).ravel()
+        first, rank = first_appearance(flat)
+        blocks = flat[first].tolist()
+        rank_a, rank_b = rank[0::2], rank[1::2]
+        later = np.maximum(rank_a, rank_b)
+        order = np.argsort(later, kind="stable")
+        earlier = np.minimum(rank_a, rank_b)[order].tolist()
+        bounds = np.searchsorted(later[order],
+                                 np.arange(len(blocks) + 1)).tolist()
+        if self._device_masks is None:
+            self._device_masks = [_bitmask(self.allocation.devices_for(db))
+                                  for db in range(n)]
+        masks = self._device_masks
+        chosen: List[int] = []
+        for r, blk in enumerate(blocks):
+            taken = near = 0
+            for other in earlier[bounds[r]:bounds[r + 1]]:
+                db = chosen[other]
+                taken |= 1 << db
+                near |= masks[db]
+            chosen.append(self._choose(blk, r, taken, near))
+        mapping = dict(zip(blocks, chosen))
+        return MatchResult(mapping, frozenset(mapping), n)
+
+    def _choose(self, blk: int, cursor: int, taken: int,
+                near: int) -> int:
+        """Least-overlap free design block, scanning from ``cursor``.
+
+        ``taken`` and ``near`` are bitmasks of the assigned
+        neighbours' design blocks and devices.  The scan offset only
+        grows, so the ``(overlap, offset)`` score picks the first free
+        candidate, in rotation order from ``cursor``, of the least
+        overlap any free candidate has; with none free, the modulo
+        rule.
+        """
+        levels = self._levels.get(near)
+        if levels is None:
+            levels = self._levels[near] = self._overlap_levels(near)
+        start = cursor % self.n_design_blocks
+        for level in levels:
+            free = level & ~taken
+            if free:
+                pick = (free >> start << start) or free
+                return (pick & -pick).bit_length() - 1
+        return blk % self.n_design_blocks
+
+    def _overlap_levels(self, near: int) -> Tuple[int, ...]:
+        """Design blocks by device overlap with ``near``: one bitmask
+        per overlap value, least overlap first, empty ones left out."""
+        by_overlap: Dict[int, int] = {}
+        for cand, mask in enumerate(self._device_masks):
+            overlap = (mask & near).bit_count()
+            by_overlap[overlap] = by_overlap.get(overlap, 0) | 1 << cand
+        return tuple(by_overlap[k] for k in sorted(by_overlap))

@@ -24,10 +24,13 @@ mined result.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.mining.fpgrowth import _build, _mine, _Node
 from repro.mining.itemsets import ItemsetCounts
+from repro.mining.transactions import window_index
 
 __all__ = ["StreamingFPGrowth", "StreamingTransactions"]
 
@@ -175,14 +178,38 @@ transactions_from_arrays`.
 
     def observe(self, arrival_ms: float, block: int) -> None:
         """Fold one request; emits the previous window if it closed."""
+        self.observe_many([arrival_ms], [block])
+
+    def observe_many(self, arrivals_ms: Sequence[float],
+                     blocks: Sequence[int]) -> None:
+        """Fold a chunk of requests, in order.
+
+        Same transactions, pushed in the same order, as one
+        :meth:`observe` per request: the window indices come from one
+        numpy pass, and every change of window closes the open
+        transaction.
+        """
+        arr = np.asarray(arrivals_ms, dtype=np.float64)
+        if len(arr) != len(blocks):
+            raise ValueError("arrivals and blocks must align")
+        if len(arr) == 0:
+            return
+        if not np.isfinite(arr).all():
+            raise ValueError("arrivals must be finite")
         if self._base is None:
-            self._base = float(arrival_ms)
-        win = int((float(arrival_ms) - self._base)
-                  / self.window_ms + 1e-9)
-        if win != self._window_idx and self._current:
+            self._base = float(arr[0])
+        win = window_index(arr, self._base, self.window_ms)
+        if win[0] != self._window_idx and self._current:
             self._emit()
-        self._window_idx = win
-        self._current.add(int(block))
+        cuts = (np.flatnonzero(win[1:] != win[:-1]) + 1).tolist()
+        items = np.asarray(blocks, dtype=np.int64).tolist()
+        lo = 0
+        for hi in cuts:
+            self._current.update(items[lo:hi])
+            self._emit()
+            lo = hi
+        self._current.update(items[lo:])
+        self._window_idx = int(win[-1])
 
     def flush(self) -> None:
         """Emit the trailing (still-open) window, if any."""
