@@ -247,7 +247,9 @@ def _controller_small(seed: int) -> str:
     * **streaming-vs-batch mining identity** -- folding each interval's
       transactions into :class:`repro.mining.streaming.\
 StreamingFPGrowth` mines the exact itemsets and supports batch
-      ``fpgrowth`` (and ``apriori``) reports;
+      ``fpgrowth`` reports.  The controller itself mines with
+      :func:`repro.mining.pairs.mine_trace_pairs`; this check keeps
+      the streaming reference miner honest;
     * **live-vs-offline loop identity** -- an unbudgeted, fault-free
       :class:`repro.controller.ReplicationController` run reproduces
       ``play_workload`` byte for byte: same per-request floats, same

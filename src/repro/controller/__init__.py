@@ -1,8 +1,8 @@
 """Live adaptive-replication controller (the paper's loop, online).
 
 Composes the existing pieces -- streaming playback
-(:class:`repro.flash.driver.OnlineStreamSession`), streaming mining
-(:mod:`repro.mining.streaming`), FIM matching, admission control and
+(:class:`repro.flash.driver.OnlineStreamSession`), pair mining
+(:mod:`repro.mining.pairs`), FIM matching, admission control and
 the fault layer -- into one long-running service that mines patterns
 per interval and re-replicates between intervals *without stopping the
 traffic*.  See :mod:`repro.controller.controller` for the loop,

@@ -9,11 +9,10 @@ computed up front and the whole trace is played once.
 1. **stream** -- each trace part is fed into one long-running
    :class:`~repro.flash.driver.OnlineStreamSession`; traffic never
    stops at interval boundaries;
-2. **mine** -- requests are folded into
-   :class:`~repro.mining.streaming.StreamingTransactions` +
-   :class:`~repro.mining.streaming.StreamingFPGrowth` as they are fed,
-   so the boundary mining step is a cheap tree walk, provably equal to
-   the batch miners on the interval's transactions;
+2. **mine** -- at each boundary the previous part's frequent pairs
+   come from :func:`~repro.mining.pairs.mine_trace_pairs`, the same
+   call ``play_workload`` and the cluster make (the paper's matcher
+   needs only the previous interval's pairs, §IV-A);
 3. **plan** -- the :class:`~repro.controller.strategy.PlacementStrategy`
    proposes a target placement, and the
    :class:`~repro.controller.planner.ReplicationPlanner` diffs it
@@ -33,8 +32,8 @@ probe): with an unlimited migration budget, no faults and the default
 :class:`~repro.controller.strategy.FIMReplan` strategy, the controller
 reproduces ``play_workload`` *byte-identically* -- same per-request
 floats, same match rates -- because the streaming session replays the
-offline heap order exactly and streaming mining equals batch mining at
-every boundary.
+offline heap order exactly and every boundary mines the previous part
+with the offline loop's own pair kernel.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ from repro.core.qos import QoSFlashArray, QoSReport
 from repro.experiments.common import WorkloadRun
 from repro.flash.driver import OnlineTracePlayer
 from repro.mining.matching import FIMBlockMatcher, MatchResult
-from repro.mining.streaming import StreamingFPGrowth, StreamingTransactions
+from repro.mining.pairs import mine_trace_pairs
 from repro.traces.records import Trace
 
 __all__ = ["ControllerConfig", "AuditRecord", "ControllerReport",
@@ -256,18 +255,16 @@ StaticPlacement` is the do-nothing baseline.
             engine=cfg.engine, admission=cfg.admission,
             faults=self.faults)
         session = player.session()
-        miner = StreamingFPGrowth(min_support=cfg.min_support,
-                                  max_size=2)
-        txns = StreamingTransactions(cfg.fim_window_ms, miner.add)
         match = MatchResult.empty(self.qos.allocation.n_buckets)
         match_rates: List[float] = []
         part_of_request: List[int] = []
         audit: List[AuditRecord] = []
         played_mark = 0
         epsilon = cfg.epsilon
+        prev: Optional[Trace] = None
         for part_idx, part in enumerate(parts):
             boundary = float(part.arrival_ms[0]) if len(part) else 0.0
-            if part_idx > 0:
+            if prev is not None:
                 # -- close the previous interval --------------------------
                 if session.fast:
                     # Serve everything due before this part's traffic;
@@ -282,8 +279,8 @@ StaticPlacement` is the do-nothing baseline.
                         session_hook.on_controller("epsilon_update")
                 played_mark = len(session.played)
                 # -- mine, plan, apply ------------------------------------
-                txns.flush()
-                itemsets = miner.mine()
+                itemsets = mine_trace_pairs(prev, cfg.fim_window_ms,
+                                            cfg.min_support)
                 target = self.strategy.propose(itemsets, match)
                 excluded = self._excluded_at(boundary)
                 if target is not None:
@@ -297,7 +294,7 @@ StaticPlacement` is the do-nothing baseline.
                 match_rates.append(match.match_rate(part.block))
                 audit.append(AuditRecord(
                     part=part_idx, boundary_ms=boundary,
-                    n_transactions=miner.n_transactions,
+                    n_transactions=itemsets.n_transactions,
                     n_itemsets=len(itemsets),
                     replanned=plan is not None,
                     deltas_applied=0 if plan is None else
@@ -323,15 +320,12 @@ StaticPlacement` is the do-nothing baseline.
                         session_hook.on_controller(
                             "rescue", sum(1 for d in plan.applied
                                           if d.rescue))
-                miner.reset()
-                txns.reset()
             else:
                 match_rates.append(0.0)
             # -- feed the part's traffic under the placement in force -----
             session.feed(part.arrival_ms, match.map_array(part.block))
             part_of_request.extend([part_idx] * len(part))
-            reads = part.reads_only()
-            txns.observe_many(reads.arrival_ms, reads.block)
+            prev = part
         series, played = session.drain()
         report = QoSReport(series, played, self.qos.guarantee_ms)
         if session_hook is not None:

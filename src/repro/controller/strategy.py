@@ -3,7 +3,7 @@
 A strategy answers one question at every interval boundary: *given
 what the miner just learned, where should data blocks live next?*  The
 controller handles everything around it -- streaming the traffic,
-folding transactions, budgeting the migration, applying the result --
+mining each part, budgeting the migration, applying the result --
 so a strategy is a single ``propose`` method:
 
 ``propose(itemsets, current) -> Optional[MatchResult]``

@@ -555,7 +555,6 @@ class OnlineTracePlayer:
         self.engine, self.fallback_reason = select_engine(
             engine, module_factory=module_factory,
             ftl_factory=ftl_factory)
-        self._replay = None
 
     @property
     def engine_selected(self) -> str:
@@ -625,257 +624,6 @@ advance` the clock to an interval boundary, act on what it saw
         _tally_engine(self.engine, self.fallback_reason)
         return OnlineStreamSession(self)
 
-    # -- placement ---------------------------------------------------------
-    def _dispatch(self, admitted: List[int], t: float, idx: int,
-                  arrivals, buckets, busy_until: List[float],
-                  service: float, array: Optional[FlashArray],
-                  played: List[PlayedRequest], admission) -> None:
-        """Place an admitted batch of simultaneous requests.
-
-        With a fault schedule, dead/down modules leave every candidate
-        set first (failure-aware retrieval); a request whose replicas
-        are all masked fails as ``"unavailable"`` without touching the
-        array.
-        """
-        masked = self.faults.masked_at(t) \
-            if self.faults is not None else None
-        live_admitted: List[int] = []
-        cands = []
-        for i in admitted:
-            cs = self.allocation.devices_for(int(buckets[i]))
-            if masked:
-                live = tuple(d for d in cs if d not in masked)
-                if not live:
-                    io = _unavailable_io(float(arrivals[i]),
-                                         int(buckets[i]), t)
-                    played.append(PlayedRequest(
-                        io=io, interval=idx, index=i, delayed=False))
-                    continue
-                cs = live
-            live_admitted.append(i)
-            cands.append(cs)
-        if not live_admitted:
-            return
-        if len(live_admitted) > 1:
-            # Simultaneous arrivals are scheduled together (§IV-B).
-            schedule = combined_retrieval(cands, self.allocation.n_devices)
-            chosen = list(schedule.assignment)
-        else:
-            chosen = [self._pick(cands[0], t, busy_until)]
-        for orig, dev, cs in zip(live_admitted, chosen, cands):
-            self._issue_one(orig, dev, t, idx, arrivals, buckets,
-                            busy_until, service, array, played,
-                            admission, candidates=cs)
-
-    def _pick(self, candidates: Sequence[int], t: float,
-              busy_until: List[float]) -> int:
-        for d in candidates:
-            if busy_until[d] <= t + 1e-12:
-                return d
-        return min(candidates, key=lambda d: busy_until[d])
-
-    def _issue_one(self, orig: int, dev: int, t: float, idx: int,
-                   arrivals, buckets, busy_until: List[float],
-                   service: float, array: Optional[FlashArray],
-                   played: List[PlayedRequest], admission,
-                   candidates: Optional[Sequence[int]] = None) -> None:
-        io = IORequest(arrival=float(arrivals[orig]),
-                       bucket=int(buckets[orig]))
-        wait = busy_until[dev] - t
-        guarantee = self.accesses * service
-        # A queued request still meets the guarantee while
-        # wait + service <= M * service; only waits beyond that are
-        # QoS-relevant conflicts.  (With M = 1 any wait conflicts,
-        # which is the paper's real-trace setting.)
-        conflict = wait + service > guarantee + 1e-12
-        admit_queued = False
-        if conflict and self.epsilon > 0:
-            # Statistical QoS: knowingly violate the guarantee for this
-            # request (it queues) as long as the violation mass Q stays
-            # below epsilon (see StatisticalAdmission.offer_conflict).
-            admit_queued = bool(admission.offer_conflict())
-        if conflict and not admit_queued:
-            # Deterministic QoS (or epsilon budget exhausted): hold the
-            # request until the device is idle, then issue -- response
-            # time stays one service time and the wait is accounted as
-            # admission delay (Fig 8c/d).
-            issue_at = busy_until[dev]
-            delayed = True
-        else:
-            # Serve now; within-guarantee queueing (or an admitted
-            # conflict) absorbs the wait into the response (Fig 10b).
-            issue_at = t
-            delayed = io.arrival + 1e-9 < t  # delayed by budget earlier
-        started = max(busy_until[dev], issue_at)
-        busy_until[dev] = started + service
-        if array is None:
-            if self._replay is not None:
-                # Faulted fast engine: placement above is final (the
-                # mirror ignores fault outcomes, as in the DES); the
-                # replay serves the queue after the driver loop ends.
-                self._replay.submit_read(io, dev, issue_at, t,
-                                         candidates=candidates)
-            else:
-                # Fast engine: with constant service times the
-                # busy-until mirror *is* the module, so fill the
-                # timestamps directly (same max, same single addition
-                # as the service loop).
-                io.device = dev
-                io.issued_at = issue_at
-                io.enqueued_at = issue_at
-                io.started_at = started
-                io.completed_at = busy_until[dev]
-        else:
-            array.env.process(
-                self._issue_process(array, io, dev, issue_at,
-                                    candidates))
-        played.append(PlayedRequest(io=io, interval=idx, index=orig,
-                                    delayed=delayed))
-
-    def _issue_process(self, array: FlashArray, io: IORequest,
-                       dev: int, issue_at: float,
-                       candidates: Optional[Sequence[int]] = None):
-        """Issue one read; under faults, fail over across replicas.
-
-        The healthy path is a single issue-and-wait, unchanged.  With
-        a fault schedule, a failed attempt (dead module, read retries
-        exhausted) is retried on the next live untried replica after
-        the schedule's backoff; ``issued_at`` keeps the *first* issue
-        time so the recorded response spans every attempt.  When no
-        live replica remains (or the retry budget runs out) the
-        request stays failed.
-        """
-        if issue_at > array.env.now:
-            yield array.env.timeout_until(issue_at)
-        done = array.issue(io, dev)
-        if self.faults is None:
-            yield done
-            return
-        first_issue = io.issued_at
-        retry = self.faults.retry
-        tried = [dev]
-        attempt = 0
-        while True:
-            yield done
-            if not io.failed:
-                return
-            if candidates is None:
-                return
-            masked = self.faults.masked_at(array.env.now)
-            alive = [d for d in candidates
-                     if d not in tried and d not in masked]
-            if not alive or attempt >= retry.max_retries:
-                if obs.ACTIVE:
-                    obs.SESSION.on_fault("unavailable")
-                return
-            nxt = alive[0]
-            if obs.ACTIVE:
-                obs.SESSION.on_fault("failover")
-            backoff = retry.delay(attempt)
-            attempt += 1
-            io.retries += 1
-            io.failed = False
-            io.fail_reason = ""
-            io.faulted = True
-            if backoff > 0:
-                yield array.env.timeout(backoff)
-            tried.append(nxt)
-            done = array.issue(io, nxt)
-            io.issued_at = first_issue
-
-    # -- writes --------------------------------------------------------------
-    def _issue_write(self, orig: int, t: float, idx: int,
-                     arrivals, buckets, busy_until: List[float],
-                     params: FlashParams, array: Optional[FlashArray],
-                     played: List[PlayedRequest],
-                     admission) -> None:
-        """Apply a write to every live replica of its bucket.
-
-        The logical request completes when the slowest replica does;
-        conflict policy mirrors the read path (deterministic QoS waits
-        for all replicas to go idle, statistical QoS may queue).
-
-        Under faults the write goes to the *live* replicas only (a
-        degraded write, flagged ``faulted``); with every replica
-        masked the write fails as ``"unavailable"``.
-        """
-        devices = self.allocation.devices_for(int(buckets[orig]))
-        degraded_write = False
-        if self.faults is not None:
-            masked = self.faults.masked_at(t)
-            if masked:
-                live = tuple(d for d in devices if d not in masked)
-                if not live:
-                    io = _unavailable_io(float(arrivals[orig]),
-                                         int(buckets[orig]), t,
-                                         is_read=False)
-                    played.append(PlayedRequest(
-                        io=io, interval=idx, index=orig,
-                        delayed=False))
-                    return
-                if len(live) < len(devices):
-                    degraded_write = True
-                    if obs.ACTIVE:
-                        obs.SESSION.on_fault("degraded_write")
-                devices = live
-        write_service = params.write_ms
-        read_service = params.read_ms
-        master = IORequest(arrival=float(arrivals[orig]),
-                           bucket=int(buckets[orig]), is_read=False)
-        master.faulted = degraded_write
-        guarantee = self.accesses * read_service
-        worst_wait = max(busy_until[d] - t for d in devices)
-        conflict = worst_wait + write_service > \
-            max(guarantee, write_service) + 1e-12
-        admit_queued = False
-        if conflict and self.epsilon > 0:
-            admit_queued = bool(admission.offer_conflict())
-        if conflict and not admit_queued:
-            issue_at = max(busy_until[d] for d in devices)
-            delayed = True
-        else:
-            issue_at = t
-            delayed = master.arrival + 1e-9 < t
-        for d in devices:
-            busy_until[d] = max(busy_until[d], issue_at) + write_service
-        if array is None:
-            master.issued_at = issue_at
-            if self._replay is not None:
-                self._replay.submit_write(master, devices, issue_at, t)
-            else:
-                master.completed_at = max(busy_until[d] for d in devices)
-        else:
-            array.env.process(
-                self._write_process(array, master, devices, issue_at))
-        played.append(PlayedRequest(io=master, interval=idx, index=orig,
-                                    delayed=delayed))
-
-    @staticmethod
-    def _write_process(array: FlashArray, master: IORequest,
-                       devices, issue_at: float):
-        from repro.sim import AllOf
-
-        if issue_at > array.env.now:
-            yield array.env.timeout_until(issue_at)
-        master.issued_at = array.env.now
-        events = []
-        replicas = []
-        for d in devices:
-            replica = IORequest(arrival=master.arrival,
-                                bucket=master.bucket, is_read=False)
-            replicas.append(replica)
-            events.append(array.issue(replica, d))
-        yield AllOf(array.env, events)
-        master.completed_at = array.env.now
-        # Fault accounting: a replica lost mid-write degrades the
-        # logical write; losing every replica fails it.
-        if any(r.failed or r.faulted for r in replicas):
-            master.faulted = True
-            master.retries = sum(r.retries for r in replicas)
-        if replicas and all(r.failed for r in replicas):
-            master.failed = True
-            master.fail_reason = replicas[0].fail_reason
-
 
 class OnlineStreamSession:
     """One long-running play-through of an :class:`OnlineTracePlayer`.
@@ -912,12 +660,6 @@ class OnlineStreamSession:
             self.env = None
             self.array = None
             self.params = player.params or FlashParams()
-            if player.faults is not None and len(player.faults):
-                from repro.flash.faulted import FaultedReplay
-
-                player._replay = FaultedReplay(
-                    player.faults, player.allocation.n_devices,
-                    self.params)
         else:
             self.env = Environment()
             self.array = FlashArray(self.env,
@@ -927,6 +669,15 @@ class OnlineStreamSession:
                                     module_factory=player.module_factory,
                                     faults=player.faults)
             self.params = self.array.params
+        #: faulted fast engine: placement is final at dispatch (the
+        #: mirror ignores fault outcomes, as in the DES) and this
+        #: replay serves the submitted queues in :meth:`drain`
+        self._replay = None
+        if self.fast and player.faults is not None and len(player.faults):
+            from repro.flash.faulted import FaultedReplay
+
+            self._replay = FaultedReplay(
+                player.faults, player.allocation.n_devices, self.params)
         self.admission = player._make_admission()
         self.tenant = None
         if player.tenant_budgets is not None:
@@ -996,12 +747,18 @@ class OnlineStreamSession:
 
         Chunks must be fed in arrival order *between* calls (the heap
         orders within a chunk); an arrival earlier than a timestamp
-        already processed by :meth:`advance` raises.
+        already processed by :meth:`advance` raises.  A NaN or infinite
+        arrival raises ``ValueError`` before anything is queued: every
+        online path feeds through here, so none can drop such a
+        request from its report.
         """
         if self._drained:
             raise RuntimeError("session already drained")
         if len(arrivals) != len(buckets):
             raise ValueError("arrivals and buckets must align")
+        times = np.ascontiguousarray(arrivals, dtype=np.float64)
+        if not np.isfinite(times).all():
+            raise ValueError("arrivals must be finite")
         if reads is not None and len(reads) != len(buckets):
             raise ValueError("reads must align with buckets")
         if self.tenant is not None:
@@ -1014,7 +771,6 @@ class OnlineStreamSession:
             # every replica -- inherently scalar; rebuild the heap and
             # continue on the reference loop.
             self._demote("writes")
-        times = np.ascontiguousarray(arrivals, dtype=np.float64)
         ids = np.asarray(buckets).astype(np.int64, copy=False).tolist()
         base = len(self.arrivals)
         n = len(ids)
@@ -1108,15 +864,9 @@ class OnlineStreamSession:
                                            self._requeues, orig))
                 self._requeues += 1
         if admitted:
-            player._dispatch(admitted, t, idx, self.arrivals,
-                             self.buckets, self.busy_until,
-                             self.service, self.array, self.played,
-                             self.admission)
+            self._dispatch(admitted, t, idx)
         for orig in admitted_writes:
-            player._issue_write(orig, t, idx, self.arrivals,
-                                self.buckets, self.busy_until,
-                                self.params, self.array, self.played,
-                                self.admission)
+            self._issue_write(orig, t, idx)
 
     def advance(self, until_ms: float) -> None:
         """Process every pending request strictly before ``until_ms``.
@@ -1193,9 +943,9 @@ class OnlineStreamSession:
 
         One walk over the plan, batch by batch, through the scalar
         loop's placement code: rejected entries are appended first,
-        multi-request batches go through the shared
-        :meth:`OnlineTracePlayer._dispatch` (combined retrieval), and
-        singleton batches through its ``_pick``/``_issue_one`` step.
+        multi-request batches go through the shared :meth:`_dispatch`
+        (combined retrieval), and singleton batches through its
+        ``_pick``/``_issue_one`` step.
         Singletons skip ``_dispatch``'s per-request masking: the fault
         mask of every entry resolves with one ``searchsorted`` over the
         plan's time column, and each bucket's live candidates are
@@ -1217,11 +967,10 @@ class OnlineStreamSession:
         player = self.player
         arrivals = self.arrivals
         bucket_col = self.buckets
-        busy = self.busy_until
-        service = self.service
         played = self.played
         faults = player.faults
         devices_for = player.allocation.devices_for
+        issue, pick = self._issue_one, self._pick
         live_cache = self._live_cache
         order = plan.order.tolist()
         times = plan.times.tolist()
@@ -1245,9 +994,7 @@ class OnlineStreamSession:
                     False, orig, True))
                 a += 1
             if b - a > 1:
-                player._dispatch(order[a:b], t, itv, arrivals,
-                                 bucket_col, busy, service, None,
-                                 played, self.admission)
+                self._dispatch(order[a:b], t, itv)
                 continue
             if a == b:
                 continue
@@ -1265,9 +1012,247 @@ class OnlineStreamSession:
                     _unavailable_io(arrivals[orig], bkt, t), itv,
                     False, orig))
                 continue
-            player._issue_one(orig, player._pick(live, t, busy), t, itv,
-                              arrivals, bucket_col, busy, service, None,
-                              played, self.admission, candidates=live)
+            issue(orig, pick(live, t), t, itv, candidates=live)
+
+    # -- placement ---------------------------------------------------------
+    def _dispatch(self, admitted: List[int], t: float, idx: int) -> None:
+        """Place an admitted batch of simultaneous requests.
+
+        With a fault schedule, dead/down modules leave every candidate
+        set first (failure-aware retrieval); a request whose replicas
+        are all masked fails as ``"unavailable"`` without touching the
+        array.
+        """
+        player = self.player
+        masked = player.faults.masked_at(t) \
+            if player.faults is not None else None
+        live_admitted: List[int] = []
+        cands = []
+        for i in admitted:
+            cs = player.allocation.devices_for(self.buckets[i])
+            if masked:
+                live = tuple(d for d in cs if d not in masked)
+                if not live:
+                    io = _unavailable_io(self.arrivals[i],
+                                         self.buckets[i], t)
+                    self.played.append(PlayedRequest(
+                        io=io, interval=idx, index=i, delayed=False))
+                    continue
+                cs = live
+            live_admitted.append(i)
+            cands.append(cs)
+        if not live_admitted:
+            return
+        if len(live_admitted) > 1:
+            # Simultaneous arrivals are scheduled together (§IV-B).
+            schedule = combined_retrieval(cands,
+                                          player.allocation.n_devices)
+            chosen = list(schedule.assignment)
+        else:
+            chosen = [self._pick(cands[0], t)]
+        for orig, dev, cs in zip(live_admitted, chosen, cands):
+            self._issue_one(orig, dev, t, idx, candidates=cs)
+
+    def _pick(self, candidates: Sequence[int], t: float) -> int:
+        busy_until = self.busy_until
+        for d in candidates:
+            if busy_until[d] <= t + 1e-12:
+                return d
+        return min(candidates, key=lambda d: busy_until[d])
+
+    def _issue_one(self, orig: int, dev: int, t: float, idx: int,
+                   candidates: Optional[Sequence[int]] = None) -> None:
+        io = IORequest(arrival=self.arrivals[orig],
+                       bucket=self.buckets[orig])
+        busy_until = self.busy_until
+        service = self.service
+        wait = busy_until[dev] - t
+        guarantee = self.player.accesses * service
+        # A queued request still meets the guarantee while
+        # wait + service <= M * service; only waits beyond that are
+        # QoS-relevant conflicts.  (With M = 1 any wait conflicts,
+        # which is the paper's real-trace setting.)
+        conflict = wait + service > guarantee + 1e-12
+        admit_queued = False
+        if conflict and self.player.epsilon > 0:
+            # Statistical QoS: knowingly violate the guarantee for this
+            # request (it queues) as long as the violation mass Q stays
+            # below epsilon (see StatisticalAdmission.offer_conflict).
+            admit_queued = bool(self.admission.offer_conflict())
+        if conflict and not admit_queued:
+            # Deterministic QoS (or epsilon budget exhausted): hold the
+            # request until the device is idle, then issue -- response
+            # time stays one service time and the wait is accounted as
+            # admission delay (Fig 8c/d).
+            issue_at = busy_until[dev]
+            delayed = True
+        else:
+            # Serve now; within-guarantee queueing (or an admitted
+            # conflict) absorbs the wait into the response (Fig 10b).
+            issue_at = t
+            delayed = io.arrival + 1e-9 < t  # delayed by budget earlier
+        started = max(busy_until[dev], issue_at)
+        busy_until[dev] = started + service
+        if self.array is None:
+            if self._replay is not None:
+                self._replay.submit_read(io, dev, issue_at, t,
+                                         candidates=candidates)
+            else:
+                # Fast engine: with constant service times the
+                # busy-until mirror *is* the module, so fill the
+                # timestamps directly (same max, same single addition
+                # as the service loop).
+                io.device = dev
+                io.issued_at = issue_at
+                io.enqueued_at = issue_at
+                io.started_at = started
+                io.completed_at = busy_until[dev]
+        else:
+            self.array.env.process(
+                self._issue_process(io, dev, issue_at, candidates))
+        self.played.append(PlayedRequest(io=io, interval=idx, index=orig,
+                                         delayed=delayed))
+
+    def _issue_process(self, io: IORequest, dev: int, issue_at: float,
+                       candidates: Optional[Sequence[int]] = None):
+        """Issue one read; under faults, fail over across replicas.
+
+        The healthy path is a single issue-and-wait, unchanged.  With
+        a fault schedule, a failed attempt (dead module, read retries
+        exhausted) is retried on the next live untried replica after
+        the schedule's backoff; ``issued_at`` keeps the *first* issue
+        time so the recorded response spans every attempt.  When no
+        live replica remains (or the retry budget runs out) the
+        request stays failed.
+        """
+        array = self.array
+        faults = self.player.faults
+        if issue_at > array.env.now:
+            yield array.env.timeout_until(issue_at)
+        done = array.issue(io, dev)
+        if faults is None:
+            yield done
+            return
+        first_issue = io.issued_at
+        retry = faults.retry
+        tried = [dev]
+        attempt = 0
+        while True:
+            yield done
+            if not io.failed:
+                return
+            if candidates is None:
+                return
+            masked = faults.masked_at(array.env.now)
+            alive = [d for d in candidates
+                     if d not in tried and d not in masked]
+            if not alive or attempt >= retry.max_retries:
+                if obs.ACTIVE:
+                    obs.SESSION.on_fault("unavailable")
+                return
+            nxt = alive[0]
+            if obs.ACTIVE:
+                obs.SESSION.on_fault("failover")
+            backoff = retry.delay(attempt)
+            attempt += 1
+            io.retries += 1
+            io.failed = False
+            io.fail_reason = ""
+            io.faulted = True
+            if backoff > 0:
+                yield array.env.timeout(backoff)
+            tried.append(nxt)
+            done = array.issue(io, nxt)
+            io.issued_at = first_issue
+
+    # -- writes --------------------------------------------------------------
+    def _issue_write(self, orig: int, t: float, idx: int) -> None:
+        """Apply a write to every live replica of its bucket.
+
+        The logical request completes when the slowest replica does;
+        conflict policy mirrors the read path (deterministic QoS waits
+        for all replicas to go idle, statistical QoS may queue).
+
+        Under faults the write goes to the *live* replicas only (a
+        degraded write, flagged ``faulted``); with every replica
+        masked the write fails as ``"unavailable"``.
+        """
+        player = self.player
+        busy_until = self.busy_until
+        arrival, bucket = self.arrivals[orig], self.buckets[orig]
+        devices = player.allocation.devices_for(bucket)
+        degraded_write = False
+        if player.faults is not None:
+            masked = player.faults.masked_at(t)
+            if masked:
+                live = tuple(d for d in devices if d not in masked)
+                if not live:
+                    io = _unavailable_io(arrival, bucket, t,
+                                         is_read=False)
+                    self.played.append(PlayedRequest(
+                        io=io, interval=idx, index=orig,
+                        delayed=False))
+                    return
+                if len(live) < len(devices):
+                    degraded_write = True
+                    if obs.ACTIVE:
+                        obs.SESSION.on_fault("degraded_write")
+                devices = live
+        write_service = self.params.write_ms
+        read_service = self.params.read_ms
+        master = IORequest(arrival=arrival, bucket=bucket, is_read=False)
+        master.faulted = degraded_write
+        guarantee = player.accesses * read_service
+        worst_wait = max(busy_until[d] - t for d in devices)
+        conflict = worst_wait + write_service > \
+            max(guarantee, write_service) + 1e-12
+        admit_queued = False
+        if conflict and player.epsilon > 0:
+            admit_queued = bool(self.admission.offer_conflict())
+        if conflict and not admit_queued:
+            issue_at = max(busy_until[d] for d in devices)
+            delayed = True
+        else:
+            issue_at = t
+            delayed = master.arrival + 1e-9 < t
+        for d in devices:
+            busy_until[d] = max(busy_until[d], issue_at) + write_service
+        if self.array is None:
+            master.issued_at = issue_at
+            if self._replay is not None:
+                self._replay.submit_write(master, devices, issue_at, t)
+            else:
+                master.completed_at = max(busy_until[d] for d in devices)
+        else:
+            self.array.env.process(
+                self._write_process(master, devices, issue_at))
+        self.played.append(PlayedRequest(io=master, interval=idx,
+                                         index=orig, delayed=delayed))
+
+    def _write_process(self, master: IORequest, devices, issue_at: float):
+        from repro.sim import AllOf
+
+        array = self.array
+        if issue_at > array.env.now:
+            yield array.env.timeout_until(issue_at)
+        master.issued_at = array.env.now
+        events = []
+        replicas = []
+        for d in devices:
+            replica = IORequest(arrival=master.arrival,
+                                bucket=master.bucket, is_read=False)
+            replicas.append(replica)
+            events.append(array.issue(replica, d))
+        yield AllOf(array.env, events)
+        master.completed_at = array.env.now
+        # Fault accounting: a replica lost mid-write degrades the
+        # logical write; losing every replica fails it.
+        if any(r.failed or r.faulted for r in replicas):
+            master.faulted = True
+            master.retries = sum(r.retries for r in replicas)
+        if replicas and all(r.failed for r in replicas):
+            master.failed = True
+            master.fail_reason = replicas[0].fail_reason
 
     def drain(self) -> Tuple[IntervalSeries, List[PlayedRequest]]:
         """Process everything pending and close the session."""
@@ -1280,9 +1265,11 @@ class OnlineStreamSession:
                 self._advance_vector(None)
             while self.heap:
                 self.process_now(self.heap[0][0])
-            if player._replay is not None:
-                player._replay.run()
-                player._replay = None
+            if self._replay is not None:
+                # release the replay with the run: it holds every
+                # submission until served
+                self._replay.run()
+                self._replay = None
         else:
             env = self.env
 

@@ -269,7 +269,7 @@ class FaultedReplay:
     def _after_failure(self, sub: _Submission, t: float) -> None:
         """Driver failover: re-submit on the next live untried replica.
 
-        Mirrors :meth:`repro.flash.driver.OnlineTracePlayer._issue_process`;
+        Mirrors :meth:`repro.flash.driver.OnlineStreamSession._issue_process`;
         write replicas and batch submissions (``candidates is None``)
         stay failed -- the DES drivers never fail those over either.
         """
@@ -343,7 +343,7 @@ class FaultedReplay:
 
     def _finalize_writes(self) -> None:
         """Fold replica outcomes into each write master, mirroring
-        :meth:`~repro.flash.driver.OnlineTracePlayer._write_process`."""
+        :meth:`~repro.flash.driver.OnlineStreamSession._write_process`."""
         for wm in self._writes:
             master = wm.master
             replicas = wm.replicas

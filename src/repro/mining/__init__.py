@@ -11,9 +11,9 @@ Implements the substrate the paper takes from ``fim_apriori-lowmem``:
 * :mod:`~repro.mining.pairs` -- the columnar pair kernel the serving
   pipelines mine with: Apriori's frequent pairs of a trace in one
   numpy pass, identical to ``apriori(..., max_size=2)``,
-* :mod:`~repro.mining.streaming` -- incremental FP-growth for the live
-  controller (:mod:`repro.controller`), provably identical to the
-  batch miners at every stream prefix,
+* :mod:`~repro.mining.streaming` -- incremental FP-growth, provably
+  identical to the batch miners at every stream prefix (no serving
+  path uses it; see its docstring),
 * :mod:`~repro.mining.matching` -- mapping data blocks to design
   blocks so that frequently co-requested blocks land on different
   design blocks, with the ``block % n_design_blocks`` fallback.

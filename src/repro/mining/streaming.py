@@ -1,18 +1,24 @@
 """Streaming FP-growth: fold transactions in, mine at any prefix.
 
-The offline loop mines each interval with a fresh batch run
-(:func:`repro.mining.fpgrowth.fpgrowth` over the interval's
-transactions).  The live controller (:mod:`repro.controller`) cannot
-afford to keep raw transactions around, so this module provides the
-incremental twin: :class:`StreamingFPGrowth` folds transactions into a
+No serving path uses this module: the offline loop, the cluster and
+the live controller (:mod:`repro.controller`) all mine each finished
+part with :func:`repro.mining.pairs.mine_trace_pairs`.  It is kept as
+a reference miner (the ``controller`` determinism probe and the
+streaming property tests check it against the batch miners) and
+because the benchmark's tracer wraps :meth:`StreamingFPGrowth.add` /
+:meth:`~StreamingFPGrowth.mine` and :meth:`StreamingTransactions.\
+observe` / :meth:`~StreamingTransactions.flush` by name.
+
+:class:`StreamingFPGrowth` is the incremental twin of
+:func:`repro.mining.fpgrowth.fpgrowth`: it folds transactions into a
 canonical prefix tree one at a time, and :meth:`~StreamingFPGrowth.mine`
 produces -- at *any* prefix of the stream -- exactly the itemsets and
 supports the batch miner would report for the transactions folded so
 far.  The identity is structural, not approximate: mining re-derives a
 weighted transaction database from the prefix tree (multiset-equal to
 the folded stream) and runs it through the batch miner's own build/mine
-machinery, so the result is the same ``ItemsetCounts`` object the
-offline loop computes.  The equality is enforced by a hypothesis
+machinery, so the result is the same ``ItemsetCounts`` the batch
+miner computes.  The equality is enforced by a hypothesis
 property over random stream prefixes and by the ``controller``
 determinism probe.
 

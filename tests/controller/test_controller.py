@@ -1,6 +1,7 @@
 """Integration tests for the live controller
 (:mod:`repro.controller.controller`) and its strategies."""
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -14,7 +15,10 @@ from repro.core.planner import SLO
 from repro.experiments.common import play_workload
 from repro.experiments.fig8 import make_parts
 from repro.faults import FaultSchedule
+from repro.mining.apriori import apriori
 from repro.mining.matching import FIMBlockMatcher
+from repro.mining.transactions import transactions_from_trace
+from repro.traces.records import Trace
 
 
 def request_key(pr):
@@ -54,6 +58,62 @@ class TestIdentityContract:
         run = live.workload_run()
         assert run.match_rates == live.match_rates
         assert run.per_part_series().overall().n_total > 0
+
+
+def shuffled_parts(n_parts=3, n=400, seed=3):
+    """Parts whose requests are not in arrival order (each part still
+    lies after the previous one)."""
+    rng = np.random.default_rng(seed)
+    parts = []
+    for p in range(n_parts):
+        arrivals = 10.0 * p + np.sort(rng.uniform(0.0, 5.0, n))
+        blocks = rng.integers(0, 30, n)
+        order = rng.permutation(n)
+        parts.append(Trace.from_arrays(arrivals[order], blocks[order]))
+    return parts
+
+
+class TestBoundaryMining:
+    """Each boundary mines the previous part exactly as the offline
+    loop does: the pairs of its arrival-sorted reads."""
+
+    @pytest.mark.parametrize("support", [1, 2])
+    def test_audit_counts_equal_batch_apriori(self, parts, support):
+        live = ReplicationController(ControllerConfig(
+            n_devices=9, min_support=support)).run(parts)
+        for record in live.audit:
+            prev = parts[record.part - 1]
+            want = apriori(transactions_from_trace(prev, 0.133),
+                           support, max_size=2)
+            assert record.n_transactions == want.n_transactions
+            assert record.n_itemsets == len(want)
+
+    def test_shuffled_arrivals_match_offline(self):
+        parts = shuffled_parts()
+        offline = play_workload(parts, n_devices=9, seed=3)
+        live = ReplicationController(
+            ControllerConfig(n_devices=9, seed=3)).run(parts)
+        assert offline.match_rates[1:] == [1.0, 1.0]
+        assert live.match_rates == offline.match_rates
+        assert [request_key(p) for p in live.report.requests] == \
+            [request_key(p) for p in offline.report.requests]
+
+
+class TestNonFiniteArrivals:
+    """A NaN or infinite arrival is refused loudly, never dropped
+    from the report."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_controller_and_offline_loop_raise(self, parts, bad):
+        arrivals = parts[-1].arrival_ms.copy()
+        arrivals[5] = bad
+        broken = list(parts)
+        broken[-1] = Trace.from_arrays(arrivals, parts[-1].block)
+        with pytest.raises(ValueError, match="finite"):
+            ReplicationController(
+                ControllerConfig(n_devices=9)).run(broken)
+        with pytest.raises(ValueError, match="finite"):
+            play_workload(broken, n_devices=9)
 
 
 class TestStaticBaseline:

@@ -9,7 +9,7 @@ byte-identical to a single ``play`` call.
 import pytest
 
 from repro.allocation.design_theoretic import DesignTheoreticAllocation
-from repro.faults import FaultSchedule
+from repro.faults import FaultEvent, FaultSchedule
 from repro.flash.driver import OnlineTracePlayer
 
 ALLOC = DesignTheoreticAllocation.from_parameters(9, 3)
@@ -96,6 +96,36 @@ class TestChunkingInvariance:
         assert played_key(played) == played_key(played_ref)
 
 
+class TestFaultedReplayOwnership:
+    """A faulted fast session serves its requests through its own
+    replay, whatever else runs on the same player meanwhile."""
+
+    SLOW = FaultSchedule([FaultEvent("slow", m, 0.0, 50.0, factor=3.0)
+                          for m in range(ALLOC.n_devices)])
+
+    def test_play_during_open_session_keeps_its_requests(self):
+        arrivals, buckets = make_trace(n=300)
+        _, played_ref = make_player(faults=self.SLOW).play(arrivals,
+                                                          buckets)
+        player = make_player(faults=self.SLOW)
+        session = player.session()
+        session.feed(arrivals[:150], buckets[:150])
+        session.advance(arrivals[150])
+        _, played_other = player.play(arrivals, buckets)
+        session.feed(arrivals[150:], buckets[150:])
+        _, played = session.drain()
+        assert played_key(played) == played_key(played_ref)
+        assert played_key(played_other) == played_key(played_ref)
+        assert all(p.io.device >= 0 for p in played)
+
+    def test_drain_releases_the_replay(self):
+        session = make_player(faults=self.SLOW).session()
+        assert session._replay is not None
+        session.feed([0.0, 0.1], [0, 1])
+        session.drain()
+        assert session._replay is None
+
+
 class TestDESSession:
     def test_des_feed_all_then_drain_matches_fast(self):
         arrivals, buckets = make_trace(n=120)
@@ -148,6 +178,17 @@ class TestLifecycle:
             session.feed([0.0, 1.0], [0])
         with pytest.raises(ValueError, match="reads"):
             session.feed([0.0], [0], reads=[True, False])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    @pytest.mark.parametrize("engine", ["fast", "des"])
+    def test_feed_rejects_non_finite_arrivals(self, bad, engine):
+        session = make_player(engine=engine).session()
+        with pytest.raises(ValueError, match="finite"):
+            session.feed([0.0, bad, 1.0], [0, 1, 2])
+        assert len(session) == 0 and session.n_pending == 0
+        with pytest.raises(ValueError, match="finite"):
+            make_player(engine=engine).play([bad], [0])
 
     def test_tenant_session_requires_apps(self):
         player = make_player(tenant_budgets={"a": 5})

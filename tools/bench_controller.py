@@ -5,14 +5,14 @@ Measures the cost of closing the paper's loop online
 (:mod:`repro.controller`) on the TPC-E-like workload:
 
 1. **throughput** -- requests/second through the full live loop
-   (stream + incremental mining + planning + mid-stream apply), per
+   (stream + boundary mining + planning + mid-stream apply), per
    stand (static / adaptive), with the offline ``play_workload``
    pipeline on the same trace as the reference;
 2. **mining overhead** -- wall time spent in the boundary mining step
-   (streaming flush + tree mine + match + plan), per interval and as a
+   (pair mining of the previous part + match), per interval and as a
    fraction of the whole run -- the price of the loop itself.
 
-Run after touching the controller, the streaming miner or the
+Run after touching the controller, the pair miner, the matcher or the
 streaming session::
 
     PYTHONPATH=src python tools/bench_controller.py \
@@ -30,9 +30,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -96,46 +99,31 @@ def bench_mining(scale: float, n_intervals: int,
                  repeats: int) -> dict:
     """Per-interval cost of the boundary mining step, in isolation.
 
-    Streams each interval's transactions into the incremental miner
-    (the fold is amortized over the stream), then times the boundary
-    work -- mine + match -- against batch ``fpgrowth`` + match on the
-    same transactions, which is what the offline loop pays.
+    Times what the controller runs at each boundary -- the pair kernel
+    over the previous part, then the match -- on every interval of
+    the workload.
     """
     from repro.core.qos import QoSFlashArray
     from repro.experiments.fig8 import make_parts
-    from repro.mining.fpgrowth import fpgrowth
     from repro.mining.matching import FIMBlockMatcher
-    from repro.mining.streaming import StreamingFPGrowth
-    from repro.mining.transactions import transactions_from_trace
+    from repro.mining.pairs import mine_trace_pairs
 
     parts = make_parts("tpce", scale, n_intervals, 0)
     matcher = FIMBlockMatcher(QoSFlashArray(n_devices=13).allocation)
     per_interval = []
     for part in parts:
-        txns = transactions_from_trace(part, 0.133)
-        miner = StreamingFPGrowth(min_support=1, max_size=2)
-        fold = _best(lambda: StreamingFPGrowth(
-            min_support=1, max_size=2).add_many(txns), repeats)
-        miner.add_many(txns)
+        itemsets = mine_trace_pairs(part, 0.133)
         boundary = _best(
-            lambda: matcher.match(miner.mine()), repeats)
-        batch = _best(
-            lambda: matcher.match(fpgrowth(txns, 1, max_size=2)),
+            lambda: matcher.match(mine_trace_pairs(part, 0.133)),
             repeats)
         per_interval.append({
-            "n_transactions": len(txns),
-            "fold_seconds": round(fold, 6),
+            "n_transactions": itemsets.n_transactions,
             "boundary_seconds": round(boundary, 6),
-            "batch_seconds": round(batch, 6),
         })
-    total_boundary = sum(p["boundary_seconds"] for p in per_interval)
-    total_batch = sum(p["batch_seconds"] for p in per_interval)
     return {
         "per_interval": per_interval,
-        "boundary_seconds_total": round(total_boundary, 6),
-        "batch_seconds_total": round(total_batch, 6),
-        "streaming_vs_batch_x": round(
-            total_boundary / total_batch, 3) if total_batch else None,
+        "boundary_seconds_total": round(
+            sum(p["boundary_seconds"] for p in per_interval), 6),
     }
 
 
@@ -162,7 +150,9 @@ def main(argv=None) -> int:
         / loop["seconds"]["adaptive"], 4)
     report = {
         "host": {"cpus": os.cpu_count(),
-                 "python": sys.version.split()[0]},
+                 "machine": platform.machine(),
+                 "python": sys.version.split()[0],
+                 "numpy": np.__version__},
         "mode": "smoke" if args.smoke else "full",
         "loop": loop,
         "mining": mining,

@@ -296,9 +296,9 @@ def _driver_loop(alloc, schedule, arrivals, buckets):
     while session.heap:
         session.process_now(session.heap[0][0])
     t1 = time.perf_counter()
-    if player._replay is not None:
-        player._replay.run()
-        player._replay = None
+    if session._replay is not None:
+        session._replay.run()
+        session._replay = None
     t2 = time.perf_counter()
     session._drained = True
     return session.played, t1 - t0, t2 - t0
